@@ -38,7 +38,7 @@ from .errors import (
     TooManySensorsError,
     ZeroReferenceError,
 )
-from .selectors import Criterion, Method, run_selector
+from .selectors import Criterion, Method, SelectionResult, run_selector
 
 _CONFIG_EXIT = (
     ConfigError,
@@ -158,16 +158,28 @@ class ExperimentRecord:
         ]
 
 
-def _evaluate_selection(cand, indices, z_true, y) -> tuple[float, float, float, float]:
-    """Fisher indices of the selected set plus the reconstruction error."""
-    s = fisher.build_measurement(cand, indices)
+def _evaluate_selection(
+    sel: SelectionResult,
+    s: fisher.SensorSet,
+    trial: int,
+    locations: tuple[int, ...],
+    z_true: np.ndarray,
+    y: np.ndarray,
+) -> ExperimentRecord:
+    """Record of one selection: Fisher indices of the selected set and the reconstruction error."""
     info = fisher.fisher_info(s)
-    det = fisher.det_index(info)
-    trinv = fisher.trace_inv_index(info)
-    lmin = fisher.min_eig_index(info)
-    z_est = fisher.estimate(s, y)
-    err = fisher.reconstruction_error(z_true, z_est)
-    return det, trinv, lmin, err
+    return ExperimentRecord(
+        method=sel.method.value,
+        p=len(sel.indices),
+        trial=trial,
+        indices=sel.indices,
+        locations=locations,
+        det_index=fisher.det_index(info),
+        trace_inv_index=fisher.trace_inv_index(info),
+        min_eig_index=fisher.min_eig_index(info),
+        recon_error=fisher.reconstruction_error(z_true, fisher.estimate(s, y)),
+        wall_time_s=sel.wall_time,
+    )
 
 
 def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
@@ -193,21 +205,7 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
                         np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
                     )
                     y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
-                det, trinv, lmin, err = _evaluate_selection(cand, sel.indices, z, y)
-                records.append(
-                    ExperimentRecord(
-                        method=method.value,
-                        p=p,
-                        trial=trial,
-                        indices=sel.indices,
-                        locations=sel.indices,
-                        det_index=det,
-                        trace_inv_index=trinv,
-                        min_eig_index=lmin,
-                        recon_error=err,
-                        wall_time_s=sel.wall_time,
-                    )
-                )
+                records.append(_evaluate_selection(sel, s, trial, sel.indices, z, y))
     return _emit(records, Path(cfg.out_dir), "random")
 
 
@@ -264,23 +262,11 @@ def evaluate_fold(
             sel = run_selector(
                 cand, p, method, seed=derive_seed(seed, fold, 2, code, p)
             )
+            s = fisher.build_measurement(cand, sel.indices)
             orig = locations[[i - 1 for i in sel.indices]]
             y = x_test[orig - 1, :]
-            det, trinv, lmin, err = _evaluate_selection(cand, sel.indices, z_true, y)
-            records.append(
-                ExperimentRecord(
-                    method=method.value,
-                    p=p,
-                    trial=fold,
-                    indices=sel.indices,
-                    locations=tuple(int(i) for i in orig),
-                    det_index=det,
-                    trace_inv_index=trinv,
-                    min_eig_index=lmin,
-                    recon_error=err,
-                    wall_time_s=sel.wall_time,
-                )
-            )
+            locs = tuple(int(i) for i in orig)
+            records.append(_evaluate_selection(sel, s, fold, locs, z_true, y))
     return records
 
 

@@ -109,7 +109,7 @@ class SensorSet:
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """The regime Gram matrix: ``C C^T`` when UNDER, ``C^T C`` when OVER."""
+    """The symmetric regime Gram matrix: ``C C^T`` when UNDER, ``C^T C`` when OVER."""
 
     regime: Regime
     matrix: np.ndarray
@@ -151,8 +151,8 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``gram``, raising if it is singular by the relative test."""
-    w = _eigvalsh(_sym(gram))
+    """Eigenvalues of the symmetric ``gram``, raising if it is singular by the relative test."""
+    w = _eigvalsh(gram)
     if w[0] <= EPS_SINGULAR * max(w[-1], 0.0):
         raise SingularInformationError(
             f"Gram matrix is singular (min eig {w[0]:.3e}, max eig {w[-1]:.3e})"
@@ -223,7 +223,7 @@ def min_eig_index(f: FisherInfo) -> float:
 
     Values within ``EPS_SINGULAR * ||matrix||`` of zero are clamped to zero.
     """
-    w = _eigvalsh(_sym(f.matrix))
+    w = _eigvalsh(f.matrix)
     lam = float(w[0])
     scale = max(abs(float(w[0])), abs(float(w[-1])))
     if abs(lam) <= EPS_SINGULAR * scale:

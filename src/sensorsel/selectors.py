@@ -4,6 +4,11 @@ All selectors consume a :class:`~sensorsel.fisher.CandidateMatrix` and
 return 1-based row indices in selection order.  Argmin/argmax ties are
 broken toward the lowest candidate index after rounding relative
 differences below 1e-12 to zero, so runs are deterministic.
+
+The three greedy selectors share one loop and one factored state of the
+selected rows; each differs only in how it scores a candidate against
+that state.  They raise :class:`NoAdmissibleCandidateError` when one of
+the first r picks would lie in the span of the rows already picked.
 """
 
 from __future__ import annotations
@@ -13,29 +18,38 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    EigenSolverError,
     InstanceTooLargeError,
     NoAdmissibleCandidateError,
     SingularInformationError,
     TooManySensorsError,
 )
-from .fisher import CandidateMatrix, _sym
+from .fisher import (
+    CandidateMatrix,
+    FisherInfo,
+    SensorSet,
+    _check_nonsingular,
+    _eigvalsh,
+    _sym,
+    det_index,
+    fisher_info,
+    min_eig_index,
+    trace_inv_index,
+)
 
 #: Relative tolerance under which competing objective values count as tied.
 TIE_REL = 1e-12
 
-#: Skip threshold factor for the A-greedy projection-residual denominator.
-AG_DENOM_REL = 1e-10
+#: A row whose squared distance from the span of the selected rows is at
+#: or below this share of its squared norm adds no direction.
+REDUNDANT_REL = 1e-10
 
-#: Maximum number of subsets the brute-force search will enumerate.
+#: Maximum number of subsets the exhaustive searches will enumerate.
 BRUTE_GUARD = 10**7
-
-#: Max-norm residual allowed on a cached inverse before it is refreshed.
-CACHE_RESIDUAL_TOL = 1e-8
 
 
 class Method(Enum):
@@ -82,103 +96,146 @@ def _argbest(values: np.ndarray, minimize: bool = False) -> int:
     v = np.asarray(values, dtype=float)
     if minimize:
         v = -v
-    best = np.nanmax(v) if np.any(np.isfinite(v)) else np.nan
+    best = np.fmax.reduce(v)  # NaN only when every entry is NaN
     if not np.isfinite(best):
         raise NoAdmissibleCandidateError("no admissible candidate at this step")
     tol = TIE_REL * abs(best)
     return int(np.flatnonzero(v >= best - tol)[0])
 
 
-def _min_eigs(matrices: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix in a stacked symmetric batch."""
-    try:
-        return np.linalg.eigvalsh(matrices)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(str(exc)) from exc
+def _quad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two equally shaped matrices."""
+    return np.einsum("ij,ij->i", a, b)
 
 
-class _GramInverse:
-    """Cached inverse of the r x r Gram matrix C^T C during oversampling.
+class _Factor:
+    """Factored Fisher information of the rows selected so far.
 
-    Rank-one updated after each selection and re-factorized from scratch
-    every r updates, or sooner if the max-norm residual check fails.
+    While k < r rows are selected, ``coords[:k]`` holds every candidate's
+    coordinates on an orthonormal basis of the selected rows and ``res2``
+    its squared distance from their span; ``coords[:k, selected]^T`` is the
+    lower-triangular factor L of ``C C^T = L L^T``.  From r rows on, the
+    information is ``C^T C``, formed fresh by :meth:`gram`.
     """
 
-    def __init__(self, u: np.ndarray, selected: list[int]):
+    def __init__(self, u: np.ndarray):
         self.u = u
-        self.inv = self._factorize(selected)
-        self.updates = 0
+        self.norms2 = _quad(u, u)
+        self.res2 = self.norms2.copy()
+        self.coords = np.empty((u.shape[1], u.shape[0]))
+        self.selected: list[int] = []
 
-    def _factorize(self, selected: list[int]) -> np.ndarray:
-        c = self.u[selected]
+    @property
+    def under(self) -> bool:
+        """Whether the next row is at most the r-th, so ``C C^T`` carries the information."""
+        return len(self.selected) < self.u.shape[1]
+
+    def adds_direction(self) -> np.ndarray:
+        """Mask of the candidates that lie outside the span of the selected rows."""
+        return self.res2 > REDUNDANT_REL * self.norms2
+
+    def add(self, i: int) -> None:
+        if self.under:
+            k = len(self.selected)
+            if not self.adds_direction()[i]:
+                raise NoAdmissibleCandidateError(
+                    f"step {k + 1}: row {i + 1} adds no direction to the selected rows"
+                )
+            prev = self.coords[:k]
+            row = (self.u @ self.u[i] - prev.T @ prev[:, i]) / math.sqrt(self.res2[i])
+            self.coords[k] = row
+            self.res2 -= row * row
+        self.selected.append(i)
+
+    def gram(self) -> np.ndarray:
+        """``C^T C`` of the selected rows, checked to be nonsingular."""
+        c = self.u[self.selected]
         gram = _sym(c.T @ c)
-        w = np.linalg.eigvalsh(gram)
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
-            raise SingularInformationError(
-                "selected rows span fewer than r directions; Gram matrix singular"
-            )
-        return np.linalg.inv(gram)
+        _check_nonsingular(gram)
+        return gram
 
-    def add_row(self, row: np.ndarray, selected: list[int]) -> None:
-        w = self.inv @ row
-        self.inv = self.inv - np.outer(w, w) / (1.0 + row @ w)
-        self.updates += 1
-        r = self.u.shape[1]
-        if self.updates >= r or not self._residual_ok(selected):
-            self.inv = self._factorize(selected)
-            self.updates = 0
 
-    def _residual_ok(self, selected: list[int]) -> bool:
-        if not __debug__:
-            return True
-        c = self.u[selected]
-        gram = c.T @ c
-        resid = np.abs(gram @ self.inv - np.eye(gram.shape[0])).max()
-        return resid <= CACHE_RESIDUAL_TOL
+def _greedy(
+    cand: CandidateMatrix,
+    p: int,
+    method: Method,
+    score: Callable[[_Factor], np.ndarray],
+    index: Callable[[FisherInfo], float],
+    minimize: bool,
+) -> SelectionResult:
+    """Select p rows one at a time, each the best under ``score``.
+
+    ``score`` rates every candidate against the current state (NaN marks
+    one it skips); ``index`` of the selected set's Fisher information is
+    recorded after each step.
+    """
+    u = cand.rows
+    _check_p(cand.n, p)
+    t0 = time.perf_counter()
+    state = _Factor(u)
+    objective: list[float] = []
+    for k in range(p):
+        values = score(state)
+        values[state.selected] = np.nan
+        try:
+            i = _argbest(values, minimize)
+        except NoAdmissibleCandidateError:
+            raise NoAdmissibleCandidateError(
+                f"step {k + 1}: every remaining row adds no direction"
+            ) from None
+        state.add(i)
+        chosen = tuple(j + 1 for j in state.selected)
+        objective.append(index(fisher_info(SensorSet(chosen, u[state.selected]))))
+    wall = time.perf_counter() - t0
+    indices = tuple(i + 1 for i in state.selected)
+    return SelectionResult(method, indices, tuple(objective), wall)
+
+
+def _dg_score(state: _Factor) -> np.ndarray:
+    if state.under:
+        return state.res2.copy()
+    u = state.u
+    return 1.0 + _quad(u, u @ np.linalg.inv(state.gram()))
+
+
+def _ag_score(state: _Factor) -> np.ndarray:
+    u = state.u
+    if state.under:
+        coords = state.coords[: len(state.selected)]
+        y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
+        values = np.full(u.shape[0], np.nan)
+        ok = state.adds_direction()
+        values[ok] = (_quad(y, y)[ok] + 1.0) / state.res2[ok]
+        return values
+    y = u @ np.linalg.inv(state.gram())
+    return -_quad(y, y) / (1.0 + _quad(u, y))
+
+
+def _eg_score(state: _Factor) -> np.ndarray:
+    u = state.u
+    if state.under:
+        n, k = u.shape[0], len(state.selected)
+        c = u[state.selected]
+        border = u @ c.T
+        stacked = np.empty((n, k + 1, k + 1))
+        stacked[:, :k, :k] = _sym(c @ c.T)
+        stacked[:, :k, k] = border
+        stacked[:, k, :k] = border
+        stacked[:, k, k] = state.norms2
+    else:
+        stacked = state.gram()[None, :, :] + u[:, :, None] * u[:, None, :]
+    return _eigvalsh(stacked)[:, 0]
 
 
 def select_dg(cand: CandidateMatrix, p: int) -> SelectionResult:
     """Determinant-greedy selection.
 
-    The first min(p, r) sensors are picked by repeated max-residual-norm
-    selection with Gram-Schmidt deflation (the column-pivoted-QR pivot
+    The first min(p, r) sensors maximize the squared distance from the
+    span of the sensors already picked (the column-pivoted-QR pivot
     sequence of U^T); subsequent sensors maximize the determinant via the
     rank-one ratio ``1 + u (C^T C)^-1 u^T``.
     """
-    u = cand.rows
-    n, r = u.shape
-    _check_p(n, p)
-    t0 = time.perf_counter()
-    selected: list[int] = []
-    objective: list[float] = []
-    residual = u.copy()
-    for _ in range(min(p, r)):
-        res2 = np.einsum("ij,ij->i", residual, residual)
-        res2[selected] = np.nan
-        i = _argbest(res2)
-        selected.append(i)
-        v = residual[i].copy()
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            v /= norm
-            residual -= np.outer(residual @ v, v)
-        c = u[selected]
-        objective.append(float(np.linalg.det(_sym(c @ c.T))))
-    if p > r:
-        cache = _GramInverse(u, selected)
-        for _ in range(r, p):
-            y = u @ cache.inv
-            gain = 1.0 + np.einsum("ij,ij->i", u, y)
-            gain[selected] = np.nan
-            i = _argbest(gain)
-            selected.append(i)
-            cache.add_row(u[i], selected)
-            c = u[selected]
-            objective.append(float(np.linalg.det(_sym(c.T @ c))))
-    wall = time.perf_counter() - t0
-    return SelectionResult(
-        Method.DG, tuple(i + 1 for i in selected), tuple(objective), wall
-    )
+    return _greedy(cand, p, Method.DG, _dg_score, det_index, minimize=False)
 
 
 def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
@@ -190,89 +247,7 @@ def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
     are minimized.  Candidates whose projection residual vanishes are
     skipped for the current step.
     """
-    u = cand.rows
-    n, r = u.shape
-    _check_p(n, p)
-    norms2 = cand.row_norms_sq()
-    t0 = time.perf_counter()
-    selected: list[int] = []
-    objective: list[float] = []
-    ginv: np.ndarray | None = None  # (C C^T)^-1 while p <= r
-    ginv_updates = 0
-    cache: _GramInverse | None = None
-    for k in range(1, p + 1):
-        values = np.full(n, np.nan)
-        if k == 1:
-            pos = norms2 > 0.0
-            values[pos] = 1.0 / norms2[pos]
-        elif k <= r:
-            c = u[selected]
-            t = u @ c.T
-            y = t @ ginv
-            quad = np.einsum("ij,ij->i", y, y)
-            denom = norms2 - np.einsum("ij,ij->i", t, y)
-            admissible = denom > AG_DENOM_REL * norms2
-            admissible &= norms2 > 0.0
-            values[admissible] = (quad[admissible] + 1.0) / denom[admissible]
-        else:
-            y = u @ cache.inv
-            quad = np.einsum("ij,ij->i", y, y)
-            denom = 1.0 + np.einsum("ij,ij->i", u, y)
-            values = -quad / denom
-        values[selected] = np.nan
-        i = _argbest(values, minimize=True)
-        selected.append(i)
-        if k < r:
-            ginv, ginv_updates = _grow_rowgram_inverse(
-                u, selected, ginv, ginv_updates
-            )
-            objective.append(float(np.trace(ginv)))
-        elif k == r:
-            c = u[selected]
-            gram = _sym(c @ c.T)
-            objective.append(float(np.trace(np.linalg.inv(gram))))
-            if p > r:
-                cache = _GramInverse(u, selected)
-        else:
-            cache.add_row(u[i], selected)
-            objective.append(float(np.trace(cache.inv)))
-    wall = time.perf_counter() - t0
-    return SelectionResult(
-        Method.AG, tuple(i + 1 for i in selected), tuple(objective), wall
-    )
-
-
-def _grow_rowgram_inverse(
-    u: np.ndarray,
-    selected: list[int],
-    prev_inv: np.ndarray | None,
-    updates: int,
-) -> tuple[np.ndarray, int]:
-    """Extend the cached (C C^T)^-1 after appending a row, bordering the block.
-
-    Falls back to a full re-factorization every r updates.
-    """
-    c = u[selected]
-    k = len(selected)
-    r = u.shape[1]
-    if prev_inv is None or updates + 1 >= r:
-        gram = _sym(c @ c.T)
-        w = np.linalg.eigvalsh(gram)
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
-            raise SingularInformationError("selected rows are linearly dependent")
-        return np.linalg.inv(gram), 0
-    new = c[-1]
-    b = c[:-1] @ new
-    gb = prev_inv @ b
-    schur = float(new @ new - b @ gb)
-    if schur <= 0.0:
-        raise SingularInformationError("selected rows are linearly dependent")
-    out = np.empty((k, k))
-    out[: k - 1, : k - 1] = prev_inv + np.outer(gb, gb) / schur
-    out[: k - 1, k - 1] = -gb / schur
-    out[k - 1, : k - 1] = -gb / schur
-    out[k - 1, k - 1] = 1.0 / schur
-    return out, updates + 1
+    return _greedy(cand, p, Method.AG, _ag_score, trace_inv_index, minimize=True)
 
 
 def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
@@ -283,40 +258,7 @@ def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
     Each candidate is scored by a full symmetric eigendecomposition of
     the small k x k or r x r matrix.
     """
-    u = cand.rows
-    n, r = u.shape
-    _check_p(n, p)
-    norms2 = cand.row_norms_sq()
-    t0 = time.perf_counter()
-    selected: list[int] = []
-    objective: list[float] = []
-    gram: np.ndarray | None = None  # C^T C once k reaches r
-    for k in range(1, p + 1):
-        if k == 1:
-            lam = norms2.copy()
-        elif k <= r:
-            c = u[selected]
-            border = u @ c.T
-            stacked = np.empty((n, k, k))
-            stacked[:, : k - 1, : k - 1] = _sym(c @ c.T)
-            stacked[:, : k - 1, k - 1] = border
-            stacked[:, k - 1, : k - 1] = border
-            stacked[:, k - 1, k - 1] = norms2
-            lam = _min_eigs(stacked)
-        else:
-            stacked = gram[None, :, :] + u[:, :, None] * u[:, None, :]
-            lam = _min_eigs(stacked)
-        lam[selected] = np.nan
-        i = _argbest(lam)
-        selected.append(i)
-        objective.append(float(lam[i]))
-        if k >= r:
-            c = u[selected]
-            gram = _sym(c.T @ c)
-    wall = time.perf_counter() - t0
-    return SelectionResult(
-        Method.EG, tuple(i + 1 for i in selected), tuple(objective), wall
-    )
+    return _greedy(cand, p, Method.EG, _eg_score, min_eig_index, minimize=False)
 
 
 def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:
@@ -340,18 +282,28 @@ def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:
     )
 
 
-def _subset_objective(u: np.ndarray, subset: tuple[int, ...], criterion: Criterion) -> float:
-    c = u[list(subset)]
-    p, r = c.shape
-    gram = _sym(c @ c.T) if p <= r else _sym(c.T @ c)
-    if criterion is Criterion.D:
-        return float(np.linalg.det(gram))
-    w = np.linalg.eigvalsh(gram)
-    if criterion is Criterion.E:
-        return float(w[0])
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
-        return math.inf
-    return float(np.sum(1.0 / w))
+def _best_subset(
+    n: int, p: int, value: Callable[[tuple[int, ...]], float], minimize: bool
+) -> tuple[tuple[int, ...], float]:
+    """Best p-subset of {1..n} under ``value``, with its value.
+
+    Subsets are visited in lexicographic order and a later one replaces
+    the best only when better by more than :data:`TIE_REL`, so near-ties
+    go to the lexicographically smallest subset.  Guarded by
+    :data:`BRUTE_GUARD` on the number of subsets.
+    """
+    total = math.comb(n, p)
+    if total > BRUTE_GUARD:
+        raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
+    best_subset: tuple[int, ...] | None = None
+    best_value = math.nan
+    for subset in combinations(range(1, n + 1), p):
+        v = value(subset)
+        margin = TIE_REL * abs(best_value) if math.isfinite(best_value) else 0.0
+        better = v < best_value - margin if minimize else v > best_value + margin
+        if better or best_subset is None:
+            best_subset, best_value = subset, v
+    return best_subset, best_value
 
 
 def select_bruteforce(
@@ -360,39 +312,34 @@ def select_bruteforce(
     """Exact optimizer over all p-subsets; ties go to the lexicographically
     smallest index set.
 
-    Guarded by :data:`BRUTE_GUARD` on the number of subsets.  The returned
+    Each subset is scored by the :mod:`~sensorsel.fisher` index of its
+    criterion; subsets singular under A score ``inf``.  Guarded by
+    :data:`BRUTE_GUARD` on the number of subsets.  The returned
     ``per_step_objective`` is NaN except for the final entry, which holds
     the optimal objective value.
     """
     u = cand.rows
-    n = cand.n
-    _check_p(n, p)
-    total = math.comb(n, p)
-    if total > BRUTE_GUARD:
-        raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
+    _check_p(cand.n, p)
+
+    def value(subset: tuple[int, ...]) -> float:
+        info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
+        if criterion is Criterion.D:
+            return det_index(info)
+        if criterion is Criterion.E:
+            return min_eig_index(info)
+        try:
+            return trace_inv_index(info)
+        except SingularInformationError:
+            return math.inf
+
     minimize = criterion is Criterion.A
     t0 = time.perf_counter()
-    best_subset: tuple[int, ...] | None = None
-    best_value = math.inf if minimize else -math.inf
-    for subset in combinations(range(n), p):
-        value = _subset_objective(u, subset, criterion)
-        if best_subset is None:
-            best_subset, best_value = subset, value
-            continue
-        margin = TIE_REL * abs(best_value) if math.isfinite(best_value) else 0.0
-        if minimize:
-            improved = value < best_value - margin
-        else:
-            improved = value > best_value + margin
-        if improved:
-            best_subset, best_value = subset, value
+    best_subset, best_value = _best_subset(cand.n, p, value, minimize)
     wall = time.perf_counter() - t0
     if minimize and not math.isfinite(best_value):
         raise SingularInformationError("every p-subset has a singular Gram matrix")
     steps = [float("nan")] * (p - 1) + [float(best_value)]
-    return SelectionResult(
-        Method.BRUTE, tuple(i + 1 for i in best_subset), tuple(steps), wall
-    )
+    return SelectionResult(Method.BRUTE, best_subset, tuple(steps), wall)
 
 
 def run_selector(

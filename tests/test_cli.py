@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sensorsel
 
 from sensorsel import (
     CandidateMatrix,
@@ -169,6 +175,25 @@ class TestRunRandom:
         err_c = np.array([float(r[8]) for r in rows_c])
         err_n = np.array([float(r[8]) for r in rows_n])
         assert err_n.mean() > err_c.mean()
+
+    def test_optimized_interpreter_writes_the_same_csvs(self, tmp_path):
+        src = str(Path(sensorsel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [
+            "-m", "sensorsel.cli", "random", "--n", "40", "--r", "4", "--p-min", "1",
+            "--p-max", "10", "--trials", "2", "--seed", "11",
+        ]
+        outs = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("optimized" if flags else "plain")
+            subprocess.run(
+                [sys.executable, *flags, *argv, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append(out)
+        for name in ("random.csv", "random_summary.csv"):
+            plain, optimized = (strip_wall_time(read_csv(out / name)) for out in outs)
+            assert plain == optimized
 
 
 def make_snapshot_file(tmp_path, n=40, m=25, rank=3, noise=0.0, seed=0, mask=None):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorsel import (
     CandidateMatrix,
@@ -27,6 +29,14 @@ from sensorsel import (
 from sensorsel.selectors import _argbest
 
 from conftest import gaussian_candidates
+
+GREEDY = [select_dg, select_ag, select_eg]
+
+
+def rank_deficient_candidates(n: int, r: int, rank: int, seed: int) -> CandidateMatrix:
+    """n x r Gaussian candidate matrix of the given rank < r."""
+    rng = np.random.default_rng(seed)
+    return CandidateMatrix(rng.standard_normal((n, rank)) @ rng.standard_normal((rank, r)))
 
 
 def direct_step_values(cand, selected, kind):
@@ -231,10 +241,21 @@ class TestBruteForce:
 
 
 class TestSharedProperties:
-    @pytest.mark.parametrize("selector", [select_dg, select_ag, select_eg])
-    def test_scale_equivariance(self, selector):
+    @pytest.mark.parametrize(
+        "selector,scale",
+        [
+            pytest.param(
+                selector,
+                scale,
+                id=selector.__name__ if scale == 7.3 else f"{selector.__name__}-{scale:g}",
+            )
+            for selector in GREEDY
+            for scale in (7.3, 1e-150, 1e150)
+        ],
+    )
+    def test_scale_equivariance(self, selector, scale):
         cand = gaussian_candidates(15, 3, seed=50)
-        scaled = CandidateMatrix(7.3 * cand.rows)
+        scaled = CandidateMatrix(scale * cand.rows)
         assert selector(cand, 7).indices == selector(scaled, 7).indices
 
     @pytest.mark.parametrize("selector", [select_dg, select_ag, select_eg])
@@ -272,3 +293,34 @@ class TestSharedProperties:
         res = run_selector(cand, 2, Method.BRUTE, criterion=Criterion.E)
         assert res.method is Method.BRUTE
         assert len(res.indices) == 2
+
+
+class TestDegenerateInputs:
+    """With at most r rows selected, a pick that adds no direction raises."""
+
+    @pytest.mark.parametrize("selector", GREEDY)
+    def test_rank_deficient_candidates(self, selector):
+        cand = rank_deficient_candidates(20, 4, 3, seed=60)
+        with pytest.raises(NoAdmissibleCandidateError, match="step 4:"):
+            selector(cand, 4)
+
+    @pytest.mark.parametrize("selector", GREEDY)
+    def test_entries_whose_squares_underflow(self, selector):
+        cand = CandidateMatrix(1e-200 * gaussian_candidates(15, 3, seed=50).rows)
+        with pytest.raises(NoAdmissibleCandidateError, match="step 1:"):
+            selector(cand, 7)
+
+    @pytest.mark.parametrize("selector", GREEDY)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 4),
+        missing=st.integers(1, 3),
+        spare=st.integers(1, 8),
+    )
+    def test_fails_at_the_step_after_the_rank(self, selector, seed, rank, missing, spare):
+        r = rank + missing
+        cand = rank_deficient_candidates(r + spare, r, rank, seed)
+        assert len(selector(cand, rank).indices) == rank
+        with pytest.raises(NoAdmissibleCandidateError, match=f"step {rank + 1}:"):
+            selector(cand, rank + 1)
