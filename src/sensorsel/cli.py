@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,8 +51,6 @@ _CONFIG_EXIT = (
     FoldError,
     DuplicateSensorError,
     IndexOutOfRangeError,
-    ValueError,
-    NotImplementedError,
 )
 _DATA_EXIT = (FormatError, DataError, FileNotFoundError, IsADirectoryError)
 _NUMERIC_EXIT = (
@@ -61,19 +62,6 @@ _NUMERIC_EXIT = (
 )
 
 _METHOD_CODE = {Method.DG: 0, Method.AG: 1, Method.EG: 2, Method.RANDOM: 3}
-
-_RECORD_HEADER = [
-    "method",
-    "p",
-    "trial",
-    "indices",
-    "locations",
-    "det_index",
-    "trace_inv_index",
-    "min_eig_index",
-    "recon_error",
-    "wall_time_s",
-]
 
 _NORMALIZED_METRICS = ["det_index", "trace_inv_index", "min_eig_index", "recon_error"]
 
@@ -94,9 +82,7 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     k: int = 5
-    methods: list[Method] = field(
-        default_factory=lambda: [Method.DG, Method.AG, Method.EG, Method.RANDOM]
-    )
+    methods: list[Method] = field(default_factory=lambda: list(_METHOD_CODE))
     data_path: str | None = None
     data_format: data_mod.SnapshotFormat = data_mod.SnapshotFormat.CSV
     epsilon: float | None = None
@@ -104,28 +90,33 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
-        if self.mode not in ("random", "cv", "submod"):
+        """Check the fields the mode uses; the other fields are ignored."""
+        if self.mode not in _SUBCOMMANDS:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.mode == "submod":
+            if self.epsilon is not None and self.epsilon <= 0:
+                raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+            return
         if self.p_min < 1 or self.p_min > self.p_max:
             raise ConfigError(f"need 1 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.methods:
             raise ConfigError("at least one method is required")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.mode == "random":
-            if self.n < 1 or self.r < 1:
-                raise ConfigError(f"n and r must be >= 1, got n={self.n} r={self.r}")
-            if self.p_max > self.n:
-                raise ConfigError(f"p_max={self.p_max} exceeds n={self.n}")
         if self.mode == "cv":
             if self.data_path is None:
                 raise ConfigError("cv mode requires --data")
             if self.k < 2:
                 raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+            return
+        if self.n < 1 or self.r < 1:
+            raise ConfigError(f"n and r must be >= 1, got n={self.n} r={self.r}")
+        if self.p_max > self.n:
+            raise ConfigError(f"p_max={self.p_max} exceeds n={self.n}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.sigma < 0:
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -144,18 +135,17 @@ class ExperimentRecord:
     wall_time_s: float
 
     def row(self) -> list[str]:
-        return [
-            self.method,
-            str(self.p),
-            str(self.trial),
-            " ".join(str(i) for i in self.indices),
-            " ".join(str(i) for i in self.locations),
-            repr(self.det_index),
-            repr(self.trace_inv_index),
-            repr(self.min_eig_index),
-            repr(self.recon_error),
-            repr(self.wall_time_s),
-        ]
+        """CSV cells: floats by ``repr``, tuples space-joined, the rest by ``str``."""
+        return [_cell(getattr(self, name)) for name in _RECORD_HEADER]
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, tuple):
+        return " ".join(str(i) for i in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
 
 
 def _evaluate_selection(
@@ -182,6 +172,15 @@ def _evaluate_selection(
     )
 
 
+@contextmanager
+def _naming_case(method: Method, p: int, unit: str, number: int) -> Iterator[None]:
+    """Re-raise a numerical failure with the method, p and trial or fold it hit."""
+    try:
+        yield
+    except _NUMERIC_EXIT as exc:
+        raise type(exc)(f"method={method.value} p={p} {unit}={number}: {exc}") from exc
+
+
 def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Random-system sweep; returns the record and summary CSV paths."""
     cfg.validate()
@@ -195,17 +194,18 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
         for method in cfg.methods:
             code = _METHOD_CODE[method]
             for p in p_values:
-                sel = run_selector(
-                    cand, p, method, seed=derive_seed(cfg.seed, trial, 2, p)
-                )
-                s = fisher.build_measurement(cand, sel.indices)
-                y = s.measurement @ z
-                if cfg.sigma > 0:
-                    noise_rng = np.random.Generator(
-                        np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
+                with _naming_case(method, p, "trial", trial):
+                    sel = run_selector(
+                        cand, p, method, seed=derive_seed(cfg.seed, trial, 2, p)
                     )
-                    y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
-                records.append(_evaluate_selection(sel, s, trial, sel.indices, z, y))
+                    s = fisher.build_measurement(cand, sel.indices)
+                    y = s.measurement @ z
+                    if cfg.sigma > 0:
+                        noise_rng = np.random.Generator(
+                            np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
+                        )
+                        y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
+                    records.append(_evaluate_selection(sel, s, trial, sel.indices, z, y))
     return _emit(records, Path(cfg.out_dir), "random")
 
 
@@ -259,14 +259,15 @@ def evaluate_fold(
     for method in methods:
         code = _METHOD_CODE[method]
         for p in p_values:
-            sel = run_selector(
-                cand, p, method, seed=derive_seed(seed, fold, 2, code, p)
-            )
-            s = fisher.build_measurement(cand, sel.indices)
-            orig = locations[[i - 1 for i in sel.indices]]
-            y = x_test[orig - 1, :]
-            locs = tuple(int(i) for i in orig)
-            records.append(_evaluate_selection(sel, s, fold, locs, z_true, y))
+            with _naming_case(method, p, "fold", fold):
+                sel = run_selector(
+                    cand, p, method, seed=derive_seed(seed, fold, 2, code, p)
+                )
+                s = fisher.build_measurement(cand, sel.indices)
+                orig = locations[[i - 1 for i in sel.indices]]
+                y = x_test[orig - 1, :]
+                locs = tuple(int(i) for i in orig)
+                records.append(_evaluate_selection(sel, s, fold, locs, z_true, y))
     return records
 
 
@@ -276,18 +277,17 @@ def _emit(
     out_dir.mkdir(parents=True, exist_ok=True)
     records = sorted(records, key=lambda rec: (rec.method, rec.p, rec.trial))
     rec_path = out_dir / f"{stem}.csv"
-    with rec_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
+    _write_csv(rec_path, _RECORD_HEADER, [rec.row() for rec in records])
     sum_path = out_dir / f"{stem}_summary.csv"
-    with sum_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "p", "metric", "value"])
-        for row in _summary_rows(records):
-            writer.writerow(row)
+    _write_csv(sum_path, ["method", "p", "metric", "value"], _summary_rows(records))
     return rec_path, sum_path
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
@@ -301,13 +301,12 @@ def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
             name: float(np.mean([getattr(rec, name) for rec in recs]))
             for name in _NORMALIZED_METRICS + ["wall_time_s"]
         }
-    have_dg = any(method == Method.DG.value for method, _ in means)
     rows = []
     for (method, p) in sorted(means):
         stats = means[(method, p)]
         for name in _NORMALIZED_METRICS:
             rows.append([method, str(p), f"{name}_mean", repr(stats[name])])
-            if have_dg and (Method.DG.value, p) in means:
+            if (Method.DG.value, p) in means:
                 base = means[(Method.DG.value, p)][name]
                 rows.append(
                     [method, str(p), f"{name}_mean_dgnorm", repr(stats[name] / base)]
@@ -362,7 +361,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     for j in range(5):
         cand = data_mod.gen_random_system(12, 3, derive_seed(cfg.seed, 20, j))
         res = submod.nemhauser_check(cand, p=3, epsilon=eps)
-        bound_rows.append(res)
+        bound_rows.append([j, repr(res.greedy_value), repr(res.opt_value), repr(res.ratio)])
         sections.append(
             f"greedy bound instance {j}: greedy={res.greedy_value!r} "
             f"opt={res.opt_value!r} ratio={res.ratio!r}"
@@ -371,30 +370,22 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     text_path = out_dir / "submod_report.txt"
     text_path.write_text("\n\n".join(sections) + "\n")
     wit_path = out_dir / "submod_witnesses.csv"
-    with wit_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["objective", "check", "S", "T", "i"])
-        for row in witness_rows:
-            writer.writerow([row["objective"], row["check"], row["S"], row["T"], row["i"]])
+    header = ["objective", "check", "S", "T", "i"]
+    _write_csv(wit_path, header, map(itemgetter(*header), witness_rows))
     bound_path = out_dir / "submod_nemhauser.csv"
-    with bound_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "greedy_value", "opt_value", "ratio"])
-        for j, res in enumerate(bound_rows):
-            writer.writerow([j, repr(res.greedy_value), repr(res.opt_value), repr(res.ratio)])
+    _write_csv(bound_path, ["instance", "greedy_value", "opt_value", "ratio"], bound_rows)
     return text_path, wit_path, bound_path
 
 
 def run_select(args: argparse.Namespace) -> int:
     """One-shot selection on a matrix file; prints 1-based indices."""
-    if args.data is None:
-        raise ConfigError("select requires --data")
-    fmt = data_mod.SnapshotFormat(args.format)
-    snapshots = data_mod.load_snapshots(args.data, fmt)
+    if args.p < 1 or args.seed < 0:
+        raise ConfigError(f"need p >= 1 and seed >= 0, got p={args.p} seed={args.seed}")
+    snapshots = data_mod.load_snapshots(args.data, data_mod.SnapshotFormat(args.format))
     cand = fisher.CandidateMatrix(snapshots.X)
-    method = Method(args.method)
-    criterion = Criterion(args.criterion)
-    result = run_selector(cand, args.p, method, seed=args.seed, criterion=criterion)
+    result = run_selector(
+        cand, args.p, Method(args.method), seed=args.seed, criterion=Criterion(args.criterion)
+    )
     print(" ".join(str(i) for i in result.indices))
     return 0
 
@@ -403,73 +394,71 @@ def _load_config_file(path: str) -> dict[str, str]:
     values = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line (expected key=value): {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        if line and not line.startswith("#"):
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"bad config line (expected key=value): {line!r}")
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _parse_methods(text: str) -> list[Method]:
+    """Comma list of the experiment methods (``brute`` is for ``select`` only)."""
+    allowed = {m.value: m for m in _METHOD_CODE}
     out = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        try:
-            method = Method(tok)
-        except ValueError as exc:
-            raise ConfigError(f"unknown method {tok!r}") from exc
-        if method is Method.DC:
-            raise NotImplementedError("convex-relaxation selection (DC) is not implemented")
-        if method in (Method.BRUTE,):
-            raise ConfigError("brute-force is available via the 'select' subcommand only")
-        out.append(method)
+    for tok in filter(None, (t.strip().lower() for t in text.split(","))):
+        if tok not in allowed:
+            raise ConfigError(f"method {tok!r} is not one of {', '.join(allowed)}")
+        out.append(allowed[tok])
     return out
 
 
-_INT_KEYS = {"n", "r", "p_min", "p_max", "trials", "seed", "k"}
-_FLOAT_KEYS = {"epsilon", "sigma"}
+#: Settings of the experiment subcommands: flag or config-file key ->
+#: (text converter, ExperimentConfig field, subcommands that use it, help).
+_SETTINGS: dict[str, tuple[Callable[[str], object], str, tuple[str, ...], str | None]] = {
+    "n": (int, "n", ("random",), None),
+    "r": (int, "r", ("random", "cv"), None),
+    "p_min": (int, "p_min", ("random", "cv"), None),
+    "p_max": (int, "p_max", ("random", "cv"), None),
+    "trials": (int, "trials", ("random",), None),
+    "seed": (int, "seed", ("random", "cv", "submod"), None),
+    "k": (int, "k", ("cv",), None),
+    "methods": (_parse_methods, "methods", ("random", "cv"), "comma list from dg,ag,eg,random"),
+    "sigma": (float, "sigma", ("random",), None),
+    "epsilon": (float, "epsilon", ("submod",), None),
+    "data": (str, "data_path", ("cv",), "snapshot file path"),
+    "format": (data_mod.SnapshotFormat, "data_format", ("cv",), "csv or raw"),
+    "out": (str, "out_dir", ("random", "cv", "submod"), "output directory"),
+}
 
 
 def build_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config-file values and CLI flags (flags win) into a config."""
+    """Overlay the flags that are set on the config-file values and convert each.
+
+    Raises ``ConfigError`` for a setting the mode does not use and for a
+    value its converter rejects.
+    """
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     cfg = ExperimentConfig(mode=mode)
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-    for key, raw in file_values.items():
-        if key in _INT_KEYS:
-            setattr(cfg, key, int(raw))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(raw))
-        elif key == "methods":
-            cfg.methods = _parse_methods(raw)
-        elif key == "data":
-            cfg.data_path = raw
-        elif key == "format":
-            cfg.data_format = data_mod.SnapshotFormat(raw)
-        elif key == "out":
-            cfg.out_dir = raw
-        elif key == "mode":
-            cfg.mode = raw
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    for key in _INT_KEYS | _FLOAT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "methods", None) is not None:
-        cfg.methods = _parse_methods(args.methods)
-    if getattr(args, "data", None) is not None:
-        cfg.data_path = args.data
-    if getattr(args, "format", None) is not None:
-        cfg.data_format = data_mod.SnapshotFormat(args.format)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
+    for key, raw in values.items():
+        convert, name, modes, _ = _SETTINGS.get(key, (str, key, (), None))
+        if mode not in modes:
+            raise ConfigError(f"{mode} takes no setting {key!r}")
+        try:
+            setattr(cfg, name, convert(raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return cfg
+
+
+_SUBCOMMANDS = {
+    "random": (run_random, "random-system sweep"),
+    "cv": (run_cv, "K-fold cross-validation on a snapshot file"),
+    "submod": (run_submod_report, "set-function structure report"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -478,31 +467,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Greedy sparse sensor selection experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    for mode, (_, text) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(mode, help=text)
         sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--r", type=int)
-        sp.add_argument("--p-min", dest="p_min", type=int)
-        sp.add_argument("--p-max", dest="p_max", type=int)
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--methods", help="comma list from dg,ag,eg,random")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--sigma", type=float)
-        sp.add_argument("--data", help="snapshot file path")
-        sp.add_argument("--format", choices=["csv", "raw"])
-        sp.add_argument("--out", help="output directory")
-
-    common(sub.add_parser("random", help="random-system sweep"))
-    common(sub.add_parser("cv", help="K-fold cross-validation on a snapshot file"))
-    common(sub.add_parser("submod", help="set-function structure report"))
+        for key, (_, _, modes, help_text) in _SETTINGS.items():
+            if mode in modes:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
     sel = sub.add_parser("select", help="one-shot selection on a matrix file")
     sel.add_argument("--data", required=True, help="matrix file (columns = modes)")
     sel.add_argument("--format", choices=["csv", "raw"], default="csv")
-    sel.add_argument("--method", default="dg", choices=[m.value for m in Method])
+    sel.add_argument("--method", default="dg", choices=["dg", "ag", "eg", "random", "brute"])
     sel.add_argument("--p", type=int, required=True)
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--criterion", choices=["d", "a", "e"], default="d")
@@ -515,16 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "select":
             return run_select(args)
-        cfg = build_config(args.command, args)
-        if args.command == "random":
-            rec, summ = run_random(cfg)
-            print(f"wrote {rec} and {summ}")
-        elif args.command == "cv":
-            rec, summ = run_cv(cfg)
-            print(f"wrote {rec} and {summ}")
-        else:
-            paths = run_submod_report(cfg)
-            print("wrote " + ", ".join(str(p) for p in paths))
+        paths = _SUBCOMMANDS[args.command][0](build_config(args.command, args))
+        print("wrote " + ", ".join(str(p) for p in paths))
         return 0
     except _CONFIG_EXIT as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -178,7 +178,10 @@ def load_snapshots(path: str | Path, fmt: SnapshotFormat) -> SnapshotData:
 
 
 def _load_csv(path: Path) -> SnapshotData:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 text file") from exc
     if not lines:
         raise FormatError(f"{path}: empty file")
     header = lines[0].split(",")

@@ -201,7 +201,14 @@ def fisher_info(s: SensorSet) -> FisherInfo:
 
 
 def det_index(f: FisherInfo) -> float:
-    """Determinant of the regime Gram matrix (the D-optimality index)."""
+    """Determinant of the regime Gram matrix (the D-optimality index).
+
+    Reads ``inf`` when the determinant exceeds the float range (entries
+    around 1e150).  The greedy selectors never form it to score a
+    candidate, so their picks are unaffected; only the reported index
+    (``dg``'s ``per_step_objective``, the ``det_index`` CSV column) reads
+    ``inf``.  Brute force under ``Criterion.D`` does score with it.
+    """
     return float(np.linalg.det(f.matrix))
 
 

@@ -13,6 +13,7 @@ from sensorsel import (
     CandidateMatrix,
     ConfigError,
     Method,
+    SingularInformationError,
     SnapshotData,
     SnapshotFormat,
     build_measurement,
@@ -23,6 +24,7 @@ from sensorsel import (
     save_snapshots,
     trace_inv_index,
 )
+from sensorsel import cli
 from sensorsel.cli import (
     ExperimentConfig,
     build_config,
@@ -33,6 +35,14 @@ from sensorsel.cli import (
     run_random,
     run_submod_report,
 )
+
+
+def exit_code(argv):
+    """Exit code of ``main``, including argparse's ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -358,3 +368,69 @@ class TestMainExitCodes:
         out = capsys.readouterr().out.strip().split()
         assert len(out) == 4
         assert all(1 <= int(tok) <= 12 for tok in out)
+
+    @pytest.mark.parametrize(
+        "argv, config_text",
+        [
+            pytest.param(["cv", "--data", "snap.raw", "--sigma", "0.1"], None, id="cv-sigma"),
+            pytest.param(["random", "--epsilon", "1e-3"], None, id="random-epsilon"),
+            pytest.param(["submod", "--p-min", "0"], None, id="submod-p-min"),
+            pytest.param(["cv", "--data", "snap.raw"], "sigma=0.1\n", id="cv-file-sigma"),
+            pytest.param(["cv", "--data", "snap.raw"], "mode=random\n", id="cv-file-mode"),
+            pytest.param(["random", "--n", "abc"], None, id="random-n-abc"),
+            pytest.param(["random", "--seed", "-1"], None, id="random-seed-negative"),
+            pytest.param(["cv", "--data", "snap.raw", "--format", "bogus"], None, id="cv-format"),
+            pytest.param(["select", "--data", "cand.csv", "--p", "0"], None, id="select-p-0"),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "1", "--seed", "-1"], None, id="select-seed"
+            ),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "1", "--method", "dc"], None, id="select-dc"
+            ),
+        ],
+    )
+    def test_unused_or_bad_setting_exit_2(self, tmp_path, monkeypatch, argv, config_text):
+        monkeypatch.chdir(tmp_path)
+        if config_text is not None:
+            Path("exp.cfg").write_text(config_text)
+            argv = [*argv, "--config", "exp.cfg"]
+        assert exit_code(argv) == 2
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command", ["select", "cv"])
+    def test_raw_file_read_as_csv_exit_3(self, tmp_path, capsys, command):
+        path, _ = make_snapshot_file(tmp_path)
+        argv = [command, "--data", str(path), "--format", "csv"]
+        argv += ["--p", "2"] if command == "select" else ["--r", "3", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["random", "cv"])
+    def test_numerical_failure_names_the_case(self, tmp_path, monkeypatch, capsys, command):
+        real = cli.run_selector
+
+        def failing(cand, p, method, seed=0, **kwargs):
+            if method is Method.AG and p == 3:
+                raise SingularInformationError("Gram matrix is singular")
+            return real(cand, p, method, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run_selector", failing)
+        if command == "random":
+            argv = ["random", "--n", "15", "--r", "3", "--trials", "2"]
+            case = "method=ag p=3 trial=0"
+        else:
+            path, _ = make_snapshot_file(tmp_path)
+            argv = ["cv", "--data", str(path), "--format", "raw", "--r", "3"]
+            case = "method=ag p=3 fold=1"
+        argv += ["--p-min", "2", "--p-max", "4", "--methods", "dg,ag", "--out", str(tmp_path)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert case in err and "Gram matrix is singular" in err
+
+    def test_value_error_inside_a_run_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the numerics")
+
+        monkeypatch.setattr(cli, "run_selector", broken)
+        with pytest.raises(ValueError, match="bug in the numerics"):
+            main(["random", "--n", "15", "--r", "3", "--p-max", "3", "--out", str(tmp_path)])

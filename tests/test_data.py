@@ -59,6 +59,12 @@ class TestCsvFormat:
         with pytest.raises(FormatError):
             load_snapshots(path, SnapshotFormat.CSV)
 
+    def test_non_utf8_file_is_format_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"2,1\n\xff\xfe,1\n")
+        with pytest.raises(FormatError, match="binary.csv"):
+            load_snapshots(path, SnapshotFormat.CSV)
+
     def test_non_finite_payload_is_data_error(self, tmp_path):
         path = tmp_path / "naughty.csv"
         path.write_text("2,1\nnan,1\n")
