@@ -378,15 +378,17 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
 
 
 def run_select(args: argparse.Namespace) -> int:
-    """One-shot selection on a matrix file; prints 1-based indices."""
+    """One-shot selection among a matrix file's valid rows; prints their 1-based row numbers."""
     if args.p < 1 or args.seed < 0:
         raise ConfigError(f"need p >= 1 and seed >= 0, got p={args.p} seed={args.seed}")
     snapshots = data_mod.load_snapshots(args.data, data_mod.SnapshotFormat(args.format))
-    cand = fisher.CandidateMatrix(snapshots.X)
+    valid = np.ones(snapshots.n, dtype=bool) if snapshots.mask is None else snapshots.mask
+    locations = np.flatnonzero(valid) + 1
+    cand = fisher.CandidateMatrix(snapshots.X[valid])
     result = run_selector(
         cand, args.p, Method(args.method), seed=args.seed, criterion=Criterion(args.criterion)
     )
-    print(" ".join(str(i) for i in result.indices))
+    print(" ".join(str(locations[i - 1]) for i in result.indices))
     return 0
 
 

@@ -161,19 +161,15 @@ def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` by Cholesky, falling back to LU.
+    """Solve ``gram @ x = rhs`` by Cholesky.
 
-    The Gram matrix must pass the singularity test; inverses are never
-    formed explicitly.
+    The Gram matrix must pass the singularity test, which leaves it safely
+    positive definite; inverses are never formed explicitly.
     """
     gram = _sym(gram)
     _check_nonsingular(gram)
-    try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(gram, check_finite=False)
-        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+    factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:
@@ -186,7 +182,7 @@ def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSe
     IndexOutOfRangeError
         If an index lies outside [1, n].
     """
-    idx = _validated_indices(indices, cand.n)
+    idx = tuple(int(i) for i in indices)
     if len(idx) < 1:
         raise ValueError("at least one sensor index is required")
     return SensorSet(indices=idx, measurement=cand.take(idx))
@@ -204,10 +200,10 @@ def det_index(f: FisherInfo) -> float:
     """Determinant of the regime Gram matrix (the D-optimality index).
 
     Reads ``inf`` when the determinant exceeds the float range (entries
-    around 1e150).  The greedy selectors never form it to score a
-    candidate, so their picks are unaffected; only the reported index
-    (``dg``'s ``per_step_objective``, the ``det_index`` CSV column) reads
-    ``inf``.  Brute force under ``Criterion.D`` does score with it.
+    around 1e150).  No selector ranks candidates by it (brute force under
+    ``Criterion.D`` ranks by the log-determinant), so picks are unaffected;
+    only the reported index (``per_step_objective``, the ``det_index`` CSV
+    column) reads ``inf``.
     """
     return float(np.linalg.det(f.matrix))
 

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ from .fisher import (
     _check_nonsingular,
     _eigvalsh,
     _sym,
+    build_measurement,
     det_index,
     fisher_info,
     min_eig_index,
@@ -287,23 +288,17 @@ def _best_subset(
 ) -> tuple[tuple[int, ...], float]:
     """Best p-subset of {1..n} under ``value``, with its value.
 
-    Subsets are visited in lexicographic order and a later one replaces
-    the best only when better by more than :data:`TIE_REL`, so near-ties
-    go to the lexicographically smallest subset.  Guarded by
+    Every subset is scored, in lexicographic order, and :func:`_argbest`
+    picks the winner, so near-ties go to the lexicographically smallest
+    subset and NaN values are skipped, as in a greedy step.  Guarded by
     :data:`BRUTE_GUARD` on the number of subsets.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
         raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
-    best_subset: tuple[int, ...] | None = None
-    best_value = math.nan
-    for subset in combinations(range(1, n + 1), p):
-        v = value(subset)
-        margin = TIE_REL * abs(best_value) if math.isfinite(best_value) else 0.0
-        better = v < best_value - margin if minimize else v > best_value + margin
-        if better or best_subset is None:
-            best_subset, best_value = subset, v
-    return best_subset, best_value
+    values = np.fromiter(map(value, combinations(range(1, n + 1), p)), float, total)
+    k = _argbest(values, minimize)
+    return next(islice(combinations(range(1, n + 1), p), k, None)), float(values[k])
 
 
 def select_bruteforce(
@@ -313,10 +308,11 @@ def select_bruteforce(
     smallest index set.
 
     Each subset is scored by the :mod:`~sensorsel.fisher` index of its
-    criterion; subsets singular under A score ``inf``.  Guarded by
+    criterion, except that D ranks by the log-determinant, which does not
+    overflow.  Subsets singular under A or D are skipped.  Guarded by
     :data:`BRUTE_GUARD` on the number of subsets.  The returned
     ``per_step_objective`` is NaN except for the final entry, which holds
-    the optimal objective value.
+    the optimal index value.
     """
     u = cand.rows
     _check_p(cand.n, p)
@@ -324,21 +320,24 @@ def select_bruteforce(
     def value(subset: tuple[int, ...]) -> float:
         info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
         if criterion is Criterion.D:
-            return det_index(info)
+            sign, logdet = np.linalg.slogdet(info.matrix)
+            return logdet if sign > 0 else -math.inf
         if criterion is Criterion.E:
             return min_eig_index(info)
         try:
             return trace_inv_index(info)
         except SingularInformationError:
-            return math.inf
+            return math.nan
 
-    minimize = criterion is Criterion.A
     t0 = time.perf_counter()
-    best_subset, best_value = _best_subset(cand.n, p, value, minimize)
+    try:
+        best_subset, best_value = _best_subset(cand.n, p, value, criterion is Criterion.A)
+    except NoAdmissibleCandidateError:
+        raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None
+    if criterion is Criterion.D:
+        best_value = det_index(fisher_info(build_measurement(cand, best_subset)))
     wall = time.perf_counter() - t0
-    if minimize and not math.isfinite(best_value):
-        raise SingularInformationError("every p-subset has a singular Gram matrix")
-    steps = [float("nan")] * (p - 1) + [float(best_value)]
+    steps = [float("nan")] * (p - 1) + [best_value]
     return SelectionResult(Method.BRUTE, best_subset, tuple(steps), wall)
 
 

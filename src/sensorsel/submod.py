@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DuplicateSensorError, InstanceTooLargeError
-from .fisher import CandidateMatrix, _sym, build_measurement, fisher_info, min_eig_index
+from . import fisher
+from .fisher import CandidateMatrix, _sym
 from .selectors import _best_subset, select_ag
 
 #: Enumeration guard of the exhaustive submodularity and monotonicity scans.
@@ -81,12 +82,13 @@ class SetObjective:
             object.__setattr__(self, "epsilon", float(eps))
 
     def evaluate(self, subset: Iterable[int]) -> float:
-        """Set-function value on ``subset`` (1-based indices, order ignored)."""
+        """Set-function value on ``subset`` (1-based indices, order ignored).
+
+        A and D are the ``fisher`` indices of ``C^T C + eps I``, so A raises
+        ``SingularInformationError`` once eps is at rounding level.
+        """
         idx = sorted(set(int(i) for i in subset))
-        n, r = self.cand.n, self.cand.r
-        for i in idx:
-            if i < 1 or i > n:
-                raise ValueError(f"index {i} outside [1, {n}]")
+        r = self.cand.r
         if not idx:
             if self.kind is ObjectiveKind.D_EPS:
                 return float(self.epsilon**r)
@@ -94,16 +96,14 @@ class SetObjective:
         c = self.cand.take(idx)
         if self.kind is ObjectiveKind.MODULAR_NORM:
             return float(np.einsum("ij,ij->", c, c))
-        if self.kind is ObjectiveKind.A_EPS:
-            m = _sym(c.T @ c) + self.epsilon * np.eye(r)
-            w = np.linalg.eigvalsh(m)
-            return float(-np.sum(1.0 / w) + r / self.epsilon)
-        if self.kind is ObjectiveKind.D_EPS:
-            m = _sym(c.T @ c) + self.epsilon * np.eye(r)
-            return float(np.linalg.det(m))
+        if self.kind in (ObjectiveKind.A_EPS, ObjectiveKind.D_EPS):
+            info = fisher.FisherInfo(fisher.Regime.OVER, _sym(c.T @ c) + self.epsilon * np.eye(r))
+            if self.kind is ObjectiveKind.D_EPS:
+                return fisher.det_index(info)
+            return r / self.epsilon - fisher.trace_inv_index(info)
         if self.kind is ObjectiveKind.E_RAW:
-            return min_eig_index(fisher_info(build_measurement(self.cand, idx)))
-        return float(np.linalg.eigvalsh(_sym(c @ c.T))[0])  # E_GRAM_ROW
+            return fisher.min_eig_index(fisher.fisher_info(fisher.SensorSet(tuple(idx), c)))
+        return float(fisher._eigvalsh(_sym(c @ c.T))[0])  # E_GRAM_ROW
 
     def marginal_gain(self, subset: Iterable[int], i: int) -> float:
         """``f(S + {i}) - f(S)``; raises if ``i`` already belongs to ``S``."""
@@ -196,6 +196,17 @@ def _submask_count(n: int, max_set_size: int, with_element: bool) -> int:
     return total
 
 
+def _nested_pairs(masks: Iterable[int], max_set_size: int) -> Iterator[tuple[int, int]]:
+    """Every ``(S, T)`` mask pair with S a proper subset of T, 0 < |T| <= max_set_size."""
+    for t_mask in masks:
+        if t_mask == 0 or bin(t_mask).count("1") > max_set_size:
+            continue
+        s_mask = t_mask
+        while s_mask:
+            s_mask = (s_mask - 1) & t_mask
+            yield s_mask, t_mask
+
+
 def check_submodular(
     obj: SetObjective, max_set_size: int, tol: float = DEFAULT_CHECK_TOL
 ) -> ModularityReport:
@@ -212,28 +223,20 @@ def check_submodular(
     sub_viol: list[tuple] = []
     super_viol: list[tuple] = []
     checked = 0
-    for t_mask, _ in values.items():
-        if t_mask == 0 or bin(t_mask).count("1") > max_set_size:
-            continue
-        s_mask = (t_mask - 1) & t_mask
-        while True:
-            for i in range(n):
-                bit = 1 << i
-                if t_mask & bit:
-                    continue
-                gain_s = values[s_mask | bit] - values[s_mask]
-                gain_t = values[t_mask | bit] - values[t_mask]
-                checked += 1
-                scale = max(1.0, abs(gain_s), abs(gain_t))
-                diff = gain_s - gain_t
-                witness = (_mask_to_tuple(s_mask), _mask_to_tuple(t_mask), i + 1)
-                if diff < -tol * scale:
-                    sub_viol.append(witness)
-                if diff > tol * scale:
-                    super_viol.append(witness)
-            if s_mask == 0:
-                break
-            s_mask = (s_mask - 1) & t_mask
+    for s_mask, t_mask in _nested_pairs(values, max_set_size):
+        for i in range(n):
+            bit = 1 << i
+            if t_mask & bit:
+                continue
+            gain_s = values[s_mask | bit] - values[s_mask]
+            gain_t = values[t_mask | bit] - values[t_mask]
+            checked += 1
+            bound = tol * max(1.0, abs(gain_s), abs(gain_t))
+            diff = gain_s - gain_t
+            if diff < -bound:
+                sub_viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask), i + 1))
+            if diff > bound:
+                super_viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask), i + 1))
     return ModularityReport(
         checked_pairs=checked,
         tolerance=tol,
@@ -252,18 +255,11 @@ def check_monotone(
     values = _memoized_values(obj, min(n, max_set_size))
     viol: list[tuple] = []
     checked = 0
-    for t_mask, f_t in values.items():
-        if t_mask == 0 or bin(t_mask).count("1") > max_set_size:
-            continue
-        s_mask = (t_mask - 1) & t_mask
-        while True:
-            f_s = values[s_mask]
-            checked += 1
-            if f_t - f_s < -tol * max(1.0, abs(f_s), abs(f_t)):
-                viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask)))
-            if s_mask == 0:
-                break
-            s_mask = (s_mask - 1) & t_mask
+    for s_mask, t_mask in _nested_pairs(values, max_set_size):
+        f_s, f_t = values[s_mask], values[t_mask]
+        checked += 1
+        if f_t - f_s < -tol * max(1.0, abs(f_s), abs(f_t)):
+            viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask)))
     return ModularityReport(
         checked_pairs=checked,
         tolerance=tol,
@@ -331,11 +327,7 @@ class CounterexampleReport:
 
 def counterexample_report() -> CounterexampleReport:
     """Evaluate both add-a-sensor scenarios on the embedded matrix."""
-    cand = counterexample_matrix()
-
-    def lam(indices: Sequence[int]) -> float:
-        return min_eig_index(fisher_info(build_measurement(cand, indices)))
-
+    lam = SetObjective(ObjectiveKind.E_RAW, counterexample_matrix()).evaluate
     lam_123 = lam((1, 2, 3))
     lam_1234 = lam((1, 2, 3, 4))
     lam_12345 = lam((1, 2, 3, 4, 5))

@@ -369,6 +369,21 @@ class TestMainExitCodes:
         assert len(out) == 4
         assert all(1 <= int(tok) <= 12 for tok in out)
 
+    @pytest.mark.parametrize("method", ["dg", "brute"])
+    def test_select_picks_only_valid_rows(self, tmp_path, capsys, method):
+        x = gen_random_system(6, 2, seed=4).rows.copy()
+        x[2] = np.nan
+        mask = np.arange(6) != 2
+        path = tmp_path / "masked.raw"
+        save_snapshots(SnapshotData(x, mask=mask), path, SnapshotFormat.RAW_F64)
+        argv = ["select", "--data", str(path), "--format", "raw", "--method", method, "--p", "3"]
+        assert main(argv) == 0
+        picked = [int(tok) for tok in capsys.readouterr().out.split()]
+        assert 3 not in picked
+        rows = np.flatnonzero(mask) + 1
+        expected = cli.run_selector(CandidateMatrix(x[mask]), 3, Method(method)).indices
+        assert picked == [rows[i - 1] for i in expected]
+
     @pytest.mark.parametrize(
         "argv, config_text",
         [

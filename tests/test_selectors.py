@@ -26,11 +26,15 @@ from sensorsel import (
     select_random,
     trace_inv_index,
 )
-from sensorsel.selectors import _argbest
+from sensorsel.selectors import _argbest, _best_subset
 
 from conftest import gaussian_candidates
 
 GREEDY = [select_dg, select_ag, select_eg]
+
+
+def select_brute_d(cand, p):
+    return select_bruteforce(cand, p, Criterion.D)
 
 
 def rank_deficient_candidates(n: int, r: int, rank: int, seed: int) -> CandidateMatrix:
@@ -239,6 +243,14 @@ class TestBruteForce:
         with pytest.raises(InstanceTooLargeError):
             select_bruteforce(cand, 10, Criterion.D)
 
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_near_tie_chain_follows_argbest(self, minimize):
+        step = -0.9e-12 if minimize else 0.9e-12
+        values = np.array([1.0, 1.0 + step, 1.0 + 2 * step])
+        k = _argbest(values, minimize)
+        subset, value = _best_subset(3, 1, lambda s: values[s[0] - 1], minimize)
+        assert (subset, value) == ((k + 1,), values[k])
+
 
 class TestSharedProperties:
     @pytest.mark.parametrize(
@@ -249,7 +261,7 @@ class TestSharedProperties:
                 scale,
                 id=selector.__name__ if scale == 7.3 else f"{selector.__name__}-{scale:g}",
             )
-            for selector in GREEDY
+            for selector in [*GREEDY, select_brute_d]
             for scale in (7.3, 1e-150, 1e150)
         ],
     )
@@ -303,6 +315,11 @@ class TestDegenerateInputs:
         cand = rank_deficient_candidates(20, 4, 3, seed=60)
         with pytest.raises(NoAdmissibleCandidateError, match="step 4:"):
             selector(cand, 4)
+
+    def test_brute_a_with_every_subset_singular(self):
+        cand = rank_deficient_candidates(6, 3, 1, seed=61)
+        with pytest.raises(NoAdmissibleCandidateError, match="every 4-subset"):
+            select_bruteforce(cand, 4, Criterion.A)
 
     @pytest.mark.parametrize("selector", GREEDY)
     def test_entries_whose_squares_underflow(self, selector):

@@ -7,15 +7,21 @@ import pytest
 from sensorsel import (
     CandidateMatrix,
     DuplicateSensorError,
+    FisherInfo,
+    IndexOutOfRangeError,
     InstanceTooLargeError,
     ObjectiveKind,
+    Regime,
     SetObjective,
+    SingularInformationError,
     check_monotone,
     check_submodular,
     counterexample_report,
     default_epsilon,
+    det_index,
     nemhauser_check,
     select_ag,
+    trace_inv_index,
 )
 
 from conftest import char_cubic_min_root, gaussian_candidates
@@ -58,6 +64,23 @@ class TestEvaluate:
     def test_epsilon_must_be_positive(self, cx):
         with pytest.raises(ValueError):
             SetObjective(ObjectiveKind.A_EPS, cx, 0.0)
+
+    def test_regularized_values_are_fisher_indices(self, cx):
+        eps, subset = 1e-3, (2, 4, 5)
+        c = cx.take(subset)
+        info = FisherInfo(Regime.OVER, (c.T @ c + (c.T @ c).T) / 2.0 + eps * np.eye(3))
+        a_eps = SetObjective(ObjectiveKind.A_EPS, cx, eps).evaluate(subset)
+        assert a_eps == 3 / eps - trace_inv_index(info)
+        assert SetObjective(ObjectiveKind.D_EPS, cx, eps).evaluate(subset) == det_index(info)
+
+    def test_a_eps_at_rounding_level_epsilon_is_singular(self, cx):
+        with pytest.raises(SingularInformationError):
+            SetObjective(ObjectiveKind.A_EPS, cx, 1e-14).evaluate((1,))
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_out_of_range_index(self, cx, kind):
+        with pytest.raises(IndexOutOfRangeError):
+            SetObjective(kind, cx, 1e-3).evaluate((1, 7))
 
 
 class TestMarginalGain:
