@@ -96,8 +96,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "submod":
-            if self.epsilon is not None and self.epsilon <= 0:
-                raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+            if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+                raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
             return
         if self.p_min < 1 or self.p_min > self.p_max:
             raise ConfigError(f"need 1 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ConfigError(f"p_max={self.p_max} exceeds n={self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be >= 0 and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

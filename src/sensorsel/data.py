@@ -74,6 +74,8 @@ class SnapshotData:
                 )
             mask.setflags(write=False)
         valid = x if mask is None else x[mask]
+        if valid.shape[0] == 0:
+            raise DataError("the mask marks every location invalid")
         if not np.all(np.isfinite(valid)):
             raise DataError("non-finite snapshot entries at valid locations")
         if self.grid is not None:
@@ -169,7 +171,7 @@ def load_snapshots(path: str | Path, fmt: SnapshotFormat) -> SnapshotData:
     FormatError
         Malformed or truncated file.
     DataError
-        Non-finite values at valid locations.
+        Non-finite values at valid locations, or no valid location.
     """
     path = Path(path)
     if fmt is SnapshotFormat.CSV:

@@ -4,19 +4,19 @@ The regularized objectives make the selection criteria well defined on
 every subset, including the empty set, so that submodularity and
 monotonicity can be checked exhaustively on small instances, and the
 greedy-to-optimal ratio can be measured against brute force.  The
-epsilon-offset trace objective is monotone but not submodular (the
-checker finds diminishing-returns violations), so the Nemhauser bound
+checkers compare all nested pairs S < T at once on one table of subset
+values, so they take at most 14 candidates.  The epsilon-offset trace
+objective is monotone but not submodular (the checker finds
+diminishing-returns violations), so the Nemhauser bound
 ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
 ratio is an empirical check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import fisher
 from .fisher import CandidateMatrix, _sym
 from .selectors import _best_subset, select_ag
 
-#: Enumeration guard of the exhaustive submodularity and monotonicity scans.
+#: Largest ``3**n`` (the count of nested pairs S <= T of n candidates) that the
+#: exhaustive submodularity and monotonicity scans accept, so n <= 14.
 ENUM_GUARD = 10**7
 
 #: Relative check tolerance for the exhaustive submodularity/monotonicity scans.
@@ -117,8 +118,9 @@ class SetObjective:
 class ModularityReport:
     """Outcome of an exhaustive diminishing-returns or monotonicity scan.
 
-    Witness tuples hold 1-based sorted index sets; each one reproduces its
-    violated inequality when re-evaluated.
+    ``checked_pairs`` counts the (S, T, i) triples, or the (S, T) pairs,
+    that were compared.  The witnesses are sorted and hold 1-based sorted
+    index sets; each one reproduces its violated inequality when re-evaluated.
     """
 
     checked_pairs: int
@@ -164,47 +166,37 @@ def _fmt(indices: Sequence[int]) -> str:
     return " ".join(str(i) for i in indices)
 
 
-def _memoized_values(obj: SetObjective, max_size: int) -> dict[int, float]:
-    """Objective value for every subset mask up to ``max_size`` elements."""
-    n = obj.cand.n
-    values: dict[int, float] = {}
-    for size in range(max_size + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for c in combo:
-                mask |= 1 << c
-            values[mask] = obj.evaluate(tuple(c + 1 for c in combo))
-    return values
+def _subset_table(obj: SetObjective, max_size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every subset of {1..n} and its objective value, both indexed by bit mask.
+
+    Bit ``i`` of a mask stands for index ``i + 1``; masks of more than
+    ``max_size`` elements are not evaluated and hold NaN.
+    """
+    subsets: list[tuple[int, ...]] = [()]
+    for i in range(1, obj.cand.n + 1):
+        subsets += [s + (i,) for s in subsets]
+    values = [obj.evaluate(sub) if len(sub) <= max_size else np.nan for sub in subsets]
+    return subsets, np.array(values)
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def _nested_pairs(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask arrays ``(S, T)`` of every pair with S a proper subset of T, |T| <= max_set_size.
 
-
-def _submask_count(n: int, max_set_size: int, with_element: bool) -> int:
-    total = 0
-    for t in range(max_set_size + 1):
-        pairs = math.comb(n, t) * (2**t - 1)
-        total += pairs * (n - t) if with_element else pairs
-    return total
-
-
-def _nested_pairs(masks: Iterable[int], max_set_size: int) -> Iterator[tuple[int, int]]:
-    """Every ``(S, T)`` mask pair with S a proper subset of T, 0 < |T| <= max_set_size."""
-    for t_mask in masks:
-        if t_mask == 0 or bin(t_mask).count("1") > max_set_size:
-            continue
-        s_mask = t_mask
-        while s_mask:
-            s_mask = (s_mask - 1) & t_mask
-            yield s_mask, t_mask
+    Raises ``InstanceTooLargeError`` when ``3**n``, which bounds both the
+    pair count and the ``2**n`` subset table, exceeds ``ENUM_GUARD``.
+    """
+    if 3**n > ENUM_GUARD:
+        raise InstanceTooLargeError(f"scan of {n} candidates exceeds the enumeration guard")
+    s = t = size = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        # element i stays out of T, joins T only, or joins both S and T
+        grow = size < max_set_size
+        s_in, t_in, size_in = s[grow], t[grow] | (1 << i), size[grow] + 1
+        s = np.concatenate([s, s_in, s_in | (1 << i)])
+        t = np.concatenate([t, t_in, t_in])
+        size = np.concatenate([size, size_in, size_in])
+    proper = s != t
+    return s[proper], t[proper]
 
 
 def check_submodular(
@@ -217,26 +209,21 @@ def check_submodular(
     supermodularity when the difference exceeds the same bound upward.
     """
     n = obj.cand.n
-    if _submask_count(n, max_set_size, with_element=True) > ENUM_GUARD:
-        raise InstanceTooLargeError("submodularity scan exceeds the enumeration guard")
-    values = _memoized_values(obj, min(n, max_set_size + 1))
-    sub_viol: list[tuple] = []
-    super_viol: list[tuple] = []
-    checked = 0
-    for s_mask, t_mask in _nested_pairs(values, max_set_size):
-        for i in range(n):
-            bit = 1 << i
-            if t_mask & bit:
-                continue
-            gain_s = values[s_mask | bit] - values[s_mask]
-            gain_t = values[t_mask | bit] - values[t_mask]
-            checked += 1
-            bound = tol * max(1.0, abs(gain_s), abs(gain_t))
-            diff = gain_s - gain_t
-            if diff < -bound:
-                sub_viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask), i + 1))
-            if diff > bound:
-                super_viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask), i + 1))
+    pair_s, pair_t = _nested_pairs(n, max_set_size)
+    subsets, values = _subset_table(obj, min(n, max_set_size + 1))
+    sub_viol, super_viol, checked = [], [], 0
+    for i in range(n):
+        bit = 1 << i
+        out = (pair_t & bit) == 0
+        s, t = pair_s[out], pair_t[out]
+        gain_s = values[s | bit] - values[s]
+        gain_t = values[t | bit] - values[t]
+        bound = tol * np.maximum(np.maximum(1.0, np.abs(gain_s)), np.abs(gain_t))
+        diff = gain_s - gain_t
+        checked += len(s)
+        for viol, hit in ((sub_viol, diff < -bound), (super_viol, diff > bound)):
+            pairs = zip(s[hit].tolist(), t[hit].tolist())
+            viol += [(subsets[a], subsets[b], i + 1) for a, b in pairs]
     return ModularityReport(
         checked_pairs=checked,
         tolerance=tol,
@@ -250,20 +237,15 @@ def check_monotone(
 ) -> ModularityReport:
     """Exhaustively test ``f(S) <= f(T)`` over all nested pairs S < T."""
     n = obj.cand.n
-    if _submask_count(n, max_set_size, with_element=False) > ENUM_GUARD:
-        raise InstanceTooLargeError("monotonicity scan exceeds the enumeration guard")
-    values = _memoized_values(obj, min(n, max_set_size))
-    viol: list[tuple] = []
-    checked = 0
-    for s_mask, t_mask in _nested_pairs(values, max_set_size):
-        f_s, f_t = values[s_mask], values[t_mask]
-        checked += 1
-        if f_t - f_s < -tol * max(1.0, abs(f_s), abs(f_t)):
-            viol.append((_mask_to_tuple(s_mask), _mask_to_tuple(t_mask)))
+    s, t = _nested_pairs(n, max_set_size)
+    subsets, values = _subset_table(obj, min(n, max_set_size))
+    f_s, f_t = values[s], values[t]
+    hit = f_t - f_s < -tol * np.maximum(np.maximum(1.0, np.abs(f_s)), np.abs(f_t))
+    pairs = zip(s[hit].tolist(), t[hit].tolist())
     return ModularityReport(
-        checked_pairs=checked,
+        checked_pairs=len(s),
         tolerance=tol,
-        violations_monotone=tuple(sorted(viol)),
+        violations_monotone=tuple(sorted((subsets[a], subsets[b]) for a, b in pairs)),
     )
 
 
@@ -285,8 +267,6 @@ class CounterexampleReport:
     lam_1235: float
     lam_12346: float
     lam_123456: float
-    submodularity_violated: bool
-    supermodularity_violated: bool
 
     @property
     def gain5_at_123(self) -> float:
@@ -303,6 +283,14 @@ class CounterexampleReport:
     @property
     def gain6_at_12345(self) -> float:
         return self.lam_123456 - self.lam_12345
+
+    @property
+    def submodularity_violated(self) -> bool:
+        return self.gain5_at_123 < self.gain5_at_1234
+
+    @property
+    def supermodularity_violated(self) -> bool:
+        return self.gain6_at_1234 > self.gain6_at_12345
 
     def to_text(self) -> str:
         lines = [
@@ -328,25 +316,13 @@ class CounterexampleReport:
 def counterexample_report() -> CounterexampleReport:
     """Evaluate both add-a-sensor scenarios on the embedded matrix."""
     lam = SetObjective(ObjectiveKind.E_RAW, counterexample_matrix()).evaluate
-    lam_123 = lam((1, 2, 3))
-    lam_1234 = lam((1, 2, 3, 4))
-    lam_12345 = lam((1, 2, 3, 4, 5))
-    lam_1235 = lam((1, 2, 3, 5))
-    lam_12346 = lam((1, 2, 3, 4, 6))
-    lam_123456 = lam((1, 2, 3, 4, 5, 6))
-    gain5_small = lam_1235 - lam_123
-    gain5_large = lam_12345 - lam_1234
-    gain6_small = lam_12346 - lam_1234
-    gain6_large = lam_123456 - lam_12345
     return CounterexampleReport(
-        lam_123=lam_123,
-        lam_1234=lam_1234,
-        lam_12345=lam_12345,
-        lam_1235=lam_1235,
-        lam_12346=lam_12346,
-        lam_123456=lam_123456,
-        submodularity_violated=gain5_small < gain5_large,
-        supermodularity_violated=gain6_small > gain6_large,
+        lam_123=lam((1, 2, 3)),
+        lam_1234=lam((1, 2, 3, 4)),
+        lam_12345=lam((1, 2, 3, 4, 5)),
+        lam_1235=lam((1, 2, 3, 5)),
+        lam_12346=lam((1, 2, 3, 4, 6)),
+        lam_123456=lam((1, 2, 3, 4, 5, 6)),
     )
 
 

@@ -37,6 +37,10 @@ from sensorsel.cli import (
 )
 
 
+#: A ``random`` run that takes well under a second when a setting is wrongly accepted.
+SMALL_RANDOM = ["random", "--n", "6", "--r", "2", "--p-max", "2", "--trials", "1"]
+
+
 def exit_code(argv):
     """Exit code of ``main``, including argparse's ``SystemExit``."""
     try:
@@ -402,6 +406,10 @@ class TestMainExitCodes:
             pytest.param(
                 ["select", "--data", "cand.csv", "--p", "1", "--method", "dc"], None, id="select-dc"
             ),
+            pytest.param(["submod", "--epsilon", "nan"], None, id="submod-epsilon-nan"),
+            pytest.param(["submod", "--epsilon", "inf"], None, id="submod-epsilon-inf"),
+            pytest.param([*SMALL_RANDOM, "--sigma", "nan"], None, id="random-sigma-nan"),
+            pytest.param([*SMALL_RANDOM, "--sigma", "inf"], None, id="random-sigma-inf"),
         ],
     )
     def test_unused_or_bad_setting_exit_2(self, tmp_path, monkeypatch, argv, config_text):
@@ -419,6 +427,17 @@ class TestMainExitCodes:
         argv += ["--p", "2"] if command == "select" else ["--r", "3", "--out", str(tmp_path)]
         assert main(argv) == 3
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "cv"])
+    def test_every_row_masked_exit_3(self, tmp_path, capsys, command):
+        path, _ = make_snapshot_file(tmp_path, n=4, m=10, mask=[True, False, False, False])
+        blob = bytearray(path.read_bytes())
+        blob[32] = 0  # the mask bytes follow the 32-byte header
+        path.write_bytes(bytes(blob))
+        argv = [command, "--data", str(path), "--format", "raw"]
+        argv += ["--p", "1"] if command == "select" else ["--r", "1", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert "every location invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["random", "cv"])
     def test_numerical_failure_names_the_case(self, tmp_path, monkeypatch, capsys, command):

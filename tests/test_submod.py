@@ -10,6 +10,7 @@ from sensorsel import (
     FisherInfo,
     IndexOutOfRangeError,
     InstanceTooLargeError,
+    ModularityReport,
     ObjectiveKind,
     Regime,
     SetObjective,
@@ -23,8 +24,58 @@ from sensorsel import (
     select_ag,
     trace_inv_index,
 )
+from sensorsel.submod import DEFAULT_CHECK_TOL
 
 from conftest import char_cubic_min_root, gaussian_candidates
+
+
+def scalar_loop_reports(obj, max_set_size, tol):
+    """Reference for the array checkers: one scalar test per (S, T, i) and (S, T).
+
+    Returns the submodularity and the monotonicity report.  The arithmetic
+    is the same IEEE operations, so the reports must be equal, not close.
+    """
+    n = obj.cand.n
+    values = {
+        sub: obj.evaluate(sub)
+        for size in range(min(n, max_set_size + 1) + 1)
+        for sub in combinations(range(1, n + 1), size)
+    }
+    nested = [
+        (s, t)
+        for size in range(1, min(n, max_set_size) + 1)
+        for t in combinations(range(1, n + 1), size)
+        for k in range(size)
+        for s in combinations(t, k)
+    ]
+    sub_viol, super_viol, mon_viol = [], [], []
+    checked = 0
+    for s, t in nested:
+        f_s, f_t = values[s], values[t]
+        if f_t - f_s < -tol * max(1.0, abs(f_s), abs(f_t)):
+            mon_viol.append((s, t))
+        for i in range(1, n + 1):
+            if i in t:
+                continue
+            gain_s = values[tuple(sorted(s + (i,)))] - values[s]
+            gain_t = values[tuple(sorted(t + (i,)))] - values[t]
+            checked += 1
+            bound = tol * max(1.0, abs(gain_s), abs(gain_t))
+            diff = gain_s - gain_t
+            if diff < -bound:
+                sub_viol.append((s, t, i))
+            if diff > bound:
+                super_viol.append((s, t, i))
+    sub_rep = ModularityReport(
+        checked_pairs=checked,
+        tolerance=tol,
+        violations_submodular=tuple(sorted(sub_viol)),
+        violations_supermodular=tuple(sorted(super_viol)),
+    )
+    mon_rep = ModularityReport(
+        checked_pairs=len(nested), tolerance=tol, violations_monotone=tuple(sorted(mon_viol))
+    )
+    return sub_rep, mon_rep
 
 
 class TestEvaluate:
@@ -184,11 +235,44 @@ class TestCheckers:
         expected_mon = sum(math.comb(5, t) * (2**t - 1) for t in range(1, max_size + 1))
         assert mon.checked_pairs == expected_mon
 
-    def test_guard_rejects_large_instances(self):
-        cand = gaussian_candidates(40, 3, seed=62)
+    @pytest.mark.parametrize("n,max_set_size", [(40, 12), (15, 1)])
+    def test_guard_rejects_large_instances(self, n, max_set_size):
+        cand = gaussian_candidates(n, 3, seed=62)
         obj = SetObjective(ObjectiveKind.MODULAR_NORM, cand)
-        with pytest.raises(InstanceTooLargeError):
-            check_submodular(obj, max_set_size=12)
+        for check in (check_submodular, check_monotone):
+            with pytest.raises(InstanceTooLargeError):
+                check(obj, max_set_size=max_set_size)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_CHECK_TOL, 0.05])
+    @pytest.mark.parametrize("max_set_size", [0, 1, 3, 5, 8])
+    @pytest.mark.parametrize("matrix", ["embedded", "random7x3"])
+    @pytest.mark.parametrize(
+        "kind", [ObjectiveKind.E_RAW, ObjectiveKind.A_EPS, ObjectiveKind.MODULAR_NORM]
+    )
+    def test_reports_equal_the_scalar_loops(
+        self, cx, monkeypatch, kind, matrix, max_set_size, tol
+    ):
+        cand = cx if matrix == "embedded" else gaussian_candidates(7, 3, seed=66)
+        obj = SetObjective(kind, cand, 1e-3)
+        want_sub, want_mon = scalar_loop_reports(obj, max_set_size, tol)
+        evaluated = []
+        evaluate = SetObjective.evaluate
+
+        def recording(self, subset):
+            evaluated.append(tuple(subset))
+            return evaluate(self, subset)
+
+        monkeypatch.setattr(SetObjective, "evaluate", recording)
+        assert check_submodular(obj, max_set_size, tol) == want_sub
+        assert check_monotone(obj, max_set_size, tol) == want_mon
+        # each subset up to the size cap of each scan is evaluated once
+        want_evaluated = [
+            sub
+            for cap in (max_set_size + 1, max_set_size)
+            for size in range(min(cand.n, cap) + 1)
+            for sub in combinations(range(1, cand.n + 1), size)
+        ]
+        assert sorted(evaluated) == sorted(want_evaluated)
 
 
 class TestProofIdentities:
