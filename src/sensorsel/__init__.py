@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRangeError,
     InstanceTooLargeError,
     NoAdmissibleCandidateError,
+    NumericalError,
     RankDeficientError,
     RankOutOfRangeError,
     SensorSelError,

@@ -6,8 +6,8 @@ and ``select`` (one-shot selection on a provided matrix).  Runs write
 plot-ready CSV files; everything except wall-clock columns is bit-stable
 for a fixed seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 ``ConfigError``, 3 ``DataError`` or a missing
+file, 4 ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -25,41 +25,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import fisher, submod
-from .errors import (
-    ConfigError,
-    DataError,
-    DuplicateSensorError,
-    EigenSolverError,
-    FoldError,
-    FormatError,
-    IndexOutOfRangeError,
-    InstanceTooLargeError,
-    NoAdmissibleCandidateError,
-    RankDeficientError,
-    RankOutOfRangeError,
-    SingularInformationError,
-    TooManySensorsError,
-    ZeroReferenceError,
-)
+from .errors import ConfigError, DataError, NumericalError
 from .selectors import Criterion, Method, SelectionResult, run_selector
-
-_CONFIG_EXIT = (
-    ConfigError,
-    InstanceTooLargeError,
-    TooManySensorsError,
-    RankOutOfRangeError,
-    FoldError,
-    DuplicateSensorError,
-    IndexOutOfRangeError,
-)
-_DATA_EXIT = (FormatError, DataError, FileNotFoundError, IsADirectoryError)
-_NUMERIC_EXIT = (
-    SingularInformationError,
-    EigenSolverError,
-    NoAdmissibleCandidateError,
-    RankDeficientError,
-    ZeroReferenceError,
-)
 
 _METHOD_CODE = {Method.DG: 0, Method.AG: 1, Method.EG: 2, Method.RANDOM: 3}
 
@@ -177,15 +144,15 @@ def _naming_case(method: Method, p: int, unit: str, number: int) -> Iterator[Non
     """Re-raise a numerical failure with the method, p and trial or fold it hit."""
     try:
         yield
-    except _NUMERIC_EXIT as exc:
+    except NumericalError as exc:
         raise type(exc)(f"method={method.value} p={p} {unit}={number}: {exc}") from exc
 
 
 def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Random-system sweep; returns the record and summary CSV paths."""
-    cfg.validate()
     if cfg.mode != "random":
         raise ConfigError(f"run_random called with mode {cfg.mode!r}")
+    cfg.validate()
     records: list[ExperimentRecord] = []
     p_values = range(cfg.p_min, cfg.p_max + 1)
     for trial in range(cfg.trials):
@@ -211,9 +178,9 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
 
 def run_cv(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """K-fold cross-validation on a snapshot file; returns CSV paths."""
-    cfg.validate()
     if cfg.mode != "cv":
         raise ConfigError(f"run_cv called with mode {cfg.mode!r}")
+    cfg.validate()
     snapshots = data_mod.load_snapshots(cfg.data_path, cfg.data_format)
     plan = data_mod.kfold(snapshots.m, cfg.k)
     records: list[ExperimentRecord] = []
@@ -320,6 +287,8 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
 
     Returns the text report, witness CSV, and bound-check CSV paths.
     """
+    if cfg.mode != "submod":
+        raise ConfigError(f"run_submod_report called with mode {cfg.mode!r}")
     cfg.validate()
     eps = cfg.epsilon if cfg.epsilon is not None else 1e-3
     out_dir = Path(cfg.out_dir)
@@ -495,13 +464,13 @@ def main(argv: list[str] | None = None) -> int:
         paths = _SUBCOMMANDS[args.command][0](build_config(args.command, args))
         print("wrote " + ", ".join(str(p) for p in paths))
         return 0
-    except _CONFIG_EXIT as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DATA_EXIT as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERIC_EXIT as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -139,6 +139,7 @@ def _validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _sym(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric part of a product whose factors are not each other's transposes."""
     return (matrix + matrix.T) / 2.0
 
 
@@ -161,12 +162,11 @@ def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` by Cholesky.
+    """Solve ``gram @ x = rhs`` for a symmetric ``gram`` by Cholesky.
 
     The Gram matrix must pass the singularity test, which leaves it safely
     positive definite; inverses are never formed explicitly.
     """
-    gram = _sym(gram)
     _check_nonsingular(gram)
     factor = scipy.linalg.cho_factor(gram, check_finite=False)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
@@ -189,11 +189,11 @@ def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSe
 
 
 def fisher_info(s: SensorSet) -> FisherInfo:
-    """Information matrix of a sensor set, symmetrized as ``(M + M^T) / 2``."""
+    """Information matrix of a sensor set (NumPy forms ``C C^T`` exactly symmetric)."""
     c = s.measurement
     if s.regime is Regime.UNDER:
-        return FisherInfo(Regime.UNDER, _sym(c @ c.T))
-    return FisherInfo(Regime.OVER, _sym(c.T @ c))
+        return FisherInfo(Regime.UNDER, c @ c.T)
+    return FisherInfo(Regime.OVER, c.T @ c)
 
 
 def det_index(f: FisherInfo) -> float:

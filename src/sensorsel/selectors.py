@@ -34,7 +34,6 @@ from .fisher import (
     SensorSet,
     _check_nonsingular,
     _eigvalsh,
-    _sym,
     build_measurement,
     det_index,
     fisher_info,
@@ -151,7 +150,7 @@ class _Factor:
     def gram(self) -> np.ndarray:
         """``C^T C`` of the selected rows, checked to be nonsingular."""
         c = self.u[self.selected]
-        gram = _sym(c.T @ c)
+        gram = c.T @ c
         _check_nonsingular(gram)
         return gram
 
@@ -219,7 +218,7 @@ def _eg_score(state: _Factor) -> np.ndarray:
         c = u[state.selected]
         border = u @ c.T
         stacked = np.empty((n, k + 1, k + 1))
-        stacked[:, :k, :k] = _sym(c @ c.T)
+        stacked[:, :k, :k] = c @ c.T
         stacked[:, :k, k] = border
         stacked[:, k, :k] = border
         stacked[:, k, k] = state.norms2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DuplicateSensorError, InstanceTooLargeError
 from . import fisher
-from .fisher import CandidateMatrix, _sym
+from .fisher import CandidateMatrix
 from .selectors import _best_subset, select_ag
 
 #: Largest ``3**n`` (the count of nested pairs S <= T of n candidates) that the
@@ -78,8 +78,8 @@ class SetObjective:
             eps = self.epsilon
             if eps is None:
                 eps = default_epsilon(self.cand)
-            if not (eps > 0.0):
-                raise ValueError(f"epsilon must be positive, got {eps}")
+            if not 0.0 < eps < np.inf:
+                raise ValueError(f"epsilon must be positive and finite, got {eps}")
             object.__setattr__(self, "epsilon", float(eps))
 
     def evaluate(self, subset: Iterable[int]) -> float:
@@ -98,13 +98,13 @@ class SetObjective:
         if self.kind is ObjectiveKind.MODULAR_NORM:
             return float(np.einsum("ij,ij->", c, c))
         if self.kind in (ObjectiveKind.A_EPS, ObjectiveKind.D_EPS):
-            info = fisher.FisherInfo(fisher.Regime.OVER, _sym(c.T @ c) + self.epsilon * np.eye(r))
+            info = fisher.FisherInfo(fisher.Regime.OVER, c.T @ c + self.epsilon * np.eye(r))
             if self.kind is ObjectiveKind.D_EPS:
                 return fisher.det_index(info)
             return r / self.epsilon - fisher.trace_inv_index(info)
         if self.kind is ObjectiveKind.E_RAW:
             return fisher.min_eig_index(fisher.fisher_info(fisher.SensorSet(tuple(idx), c)))
-        return float(fisher._eigvalsh(_sym(c @ c.T))[0])  # E_GRAM_ROW
+        return float(fisher._eigvalsh(c @ c.T)[0])  # E_GRAM_ROW
 
     def marginal_gain(self, subset: Iterable[int], i: int) -> float:
         """``f(S + {i}) - f(S)``; raises if ``i`` already belongs to ``S``."""

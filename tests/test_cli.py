@@ -12,7 +12,10 @@ import sensorsel
 from sensorsel import (
     CandidateMatrix,
     ConfigError,
+    DataError,
     Method,
+    NumericalError,
+    SensorSelError,
     SingularInformationError,
     SnapshotData,
     SnapshotFormat,
@@ -35,6 +38,21 @@ from sensorsel.cli import (
     run_random,
     run_submod_report,
 )
+
+
+#: Exit code and stderr prefix of each error category.
+CATEGORY_EXIT = {
+    ConfigError: (2, "config error:"),
+    DataError: (3, "data error:"),
+    NumericalError: (4, "numerical failure:"),
+}
+
+
+def error_classes(base=SensorSelError):
+    """Every class below ``base``, found by walking ``__subclasses__``."""
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
 
 
 #: A ``random`` run that takes well under a second when a setting is wrongly accepted.
@@ -95,6 +113,21 @@ class TestConfig:
             ExperimentConfig(mode="cv").validate()  # no data path
         with pytest.raises(ConfigError):
             ExperimentConfig(n=10, p_max=11).validate()
+
+    @pytest.mark.parametrize(
+        "runner, mode",
+        [
+            (run_submod_report, "random"),
+            (run_submod_report, "cv"),
+            (run_random, "cv"),
+            (run_cv, "submod"),
+        ],
+    )
+    def test_runner_refuses_other_mode(self, tmp_path, runner, mode):
+        cfg = ExperimentConfig(mode=mode, out_dir=str(tmp_path / "s"))
+        with pytest.raises(ConfigError, match=f"{runner.__name__} called with mode '{mode}'"):
+            runner(cfg)
+        assert not (tmp_path / "s").exists()
 
     def test_config_file_merge_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -460,6 +493,19 @@ class TestMainExitCodes:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert case in err and "Gram matrix is singular" in err
+
+    @pytest.mark.parametrize("error", list(error_classes()), ids=lambda cls: cls.__name__)
+    def test_every_error_class_exits_with_its_category_code(self, monkeypatch, capsys, error):
+        categories = [base for base in CATEGORY_EXIT if issubclass(error, base)]
+        assert len(categories) == 1
+        code, prefix = CATEGORY_EXIT[categories[0]]
+
+        def failing(args):
+            raise error("what went wrong")
+
+        monkeypatch.setattr(cli, "run_select", failing)
+        assert main(["select", "--data", "cand.csv", "--p", "1"]) == code
+        assert capsys.readouterr().err == f"{prefix} what went wrong\n"
 
     def test_value_error_inside_a_run_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

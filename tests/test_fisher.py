@@ -9,6 +9,7 @@ from sensorsel import (
     NoiseModel,
     RankDeficientError,
     Regime,
+    SensorSet,
     SingularInformationError,
     ZeroReferenceError,
     build_measurement,
@@ -86,6 +87,17 @@ class TestFisherInfo:
     def test_matrix_exactly_symmetric(self):
         info = info_for(np.random.default_rng(0).standard_normal((7, 3)))
         np.testing.assert_array_equal(info.matrix, info.matrix.T)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("p, r, regime", [(50, 200, Regime.UNDER), (500, 20, Regime.OVER)])
+    def test_matrix_exactly_symmetric_without_repair(self, p, r, regime, scale, order):
+        # large enough that a general matrix product would round asymmetrically
+        c = np.asarray(scale * np.random.default_rng(p).standard_normal((p, r)), order=order)
+        info = fisher_info(SensorSet(tuple(range(1, p + 1)), c))
+        assert info.regime is regime
+        np.testing.assert_array_equal(info.matrix, info.matrix.T)
+        assert np.all(np.isfinite(info.matrix)) and np.any(info.matrix != 0)
 
 
 class TestDetIndex:

@@ -116,6 +116,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             SetObjective(ObjectiveKind.A_EPS, cx, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_epsilon_must_be_finite(self, cx, eps):
+        for kind in (ObjectiveKind.A_EPS, ObjectiveKind.D_EPS):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SetObjective(kind, cx, eps)
+
     def test_regularized_values_are_fisher_indices(self, cx):
         eps, subset = 1e-3, (2, 4, 5)
         c = cx.take(subset)
