@@ -26,7 +26,7 @@ import numpy as np
 from . import data as data_mod
 from . import fisher, submod
 from .errors import ConfigError, DataError, NumericalError
-from .selectors import Criterion, Method, SelectionResult, run_selector
+from .selectors import Criterion, Method, SelectionResult, _check_p, greedy_steps, run_selector
 
 _METHOD_CODE = {Method.DG: 0, Method.AG: 1, Method.EG: 2, Method.RANDOM: 3}
 
@@ -148,6 +148,40 @@ def _naming_case(method: Method, p: int, unit: str, number: int) -> Iterator[Non
         raise type(exc)(f"method={method.value} p={p} {unit}={number}: {exc}") from exc
 
 
+def _records_by_p(
+    cand: fisher.CandidateMatrix,
+    method: Method,
+    p_values: Iterable[int],
+    unit: str,
+    number: int,
+    seed_keys: tuple[int, ...],
+    record_of: Callable[[SelectionResult], ExperimentRecord],
+) -> list[ExperimentRecord]:
+    """Records of ``method`` at each p, built in the order of ``p_values``.
+
+    A greedy method runs once: its selection for p is the p-th result of
+    one stepwise run, advanced only as far as the largest p so far.  A
+    step that fails is therefore raised at the first p that needs it,
+    after the records of the smaller p, and named as a run for that p
+    alone would be.  ``random`` draws each p with seed
+    ``derive_seed(*seed_keys, p)``.
+    """
+    steps = None if method is Method.RANDOM else greedy_steps(cand, method)
+    prefixes: list[SelectionResult] = []
+    records = []
+    for p in p_values:
+        with _naming_case(method, p, unit, number):
+            if steps is None:
+                sel = run_selector(cand, p, method, seed=derive_seed(*seed_keys, p))
+            else:
+                _check_p(cand.n, p)
+                while len(prefixes) < p:
+                    prefixes.append(next(steps))
+                sel = prefixes[p - 1]
+            records.append(record_of(sel))
+    return records
+
+
 def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Random-system sweep; returns the record and summary CSV paths."""
     if cfg.mode != "random":
@@ -158,21 +192,20 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
     for trial in range(cfg.trials):
         cand = data_mod.gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
         z = data_mod.gen_latent(cfg.r, 1, derive_seed(cfg.seed, trial, 1))
+
+        def record(sel: SelectionResult) -> ExperimentRecord:
+            s = fisher.build_measurement(cand, sel.indices)
+            y = s.measurement @ z
+            if cfg.sigma > 0:
+                noise_seed = derive_seed(cfg.seed, trial, 3, _METHOD_CODE[sel.method], s.p)
+                noise_rng = np.random.Generator(np.random.PCG64(noise_seed))
+                y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
+            return _evaluate_selection(sel, s, trial, sel.indices, z, y)
+
         for method in cfg.methods:
-            code = _METHOD_CODE[method]
-            for p in p_values:
-                with _naming_case(method, p, "trial", trial):
-                    sel = run_selector(
-                        cand, p, method, seed=derive_seed(cfg.seed, trial, 2, p)
-                    )
-                    s = fisher.build_measurement(cand, sel.indices)
-                    y = s.measurement @ z
-                    if cfg.sigma > 0:
-                        noise_rng = np.random.Generator(
-                            np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
-                        )
-                        y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
-                    records.append(_evaluate_selection(sel, s, trial, sel.indices, z, y))
+            records += _records_by_p(
+                cand, method, p_values, "trial", trial, (cfg.seed, trial, 2), record
+            )
     return _emit(records, Path(cfg.out_dir), "random")
 
 
@@ -222,19 +255,18 @@ def evaluate_fold(
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
     x_test = snapshots.X[:, test_cols]
     z_true = pod.modes.T @ x_test
+
+    def record(sel: SelectionResult) -> ExperimentRecord:
+        s = fisher.build_measurement(cand, sel.indices)
+        orig = locations[[i - 1 for i in sel.indices]]
+        y = x_test[orig - 1, :]
+        locs = tuple(int(i) for i in orig)
+        return _evaluate_selection(sel, s, fold, locs, z_true, y)
+
     records = []
     for method in methods:
-        code = _METHOD_CODE[method]
-        for p in p_values:
-            with _naming_case(method, p, "fold", fold):
-                sel = run_selector(
-                    cand, p, method, seed=derive_seed(seed, fold, 2, code, p)
-                )
-                s = fisher.build_measurement(cand, sel.indices)
-                orig = locations[[i - 1 for i in sel.indices]]
-                y = x_test[orig - 1, :]
-                locs = tuple(int(i) for i in orig)
-                records.append(_evaluate_selection(sel, s, fold, locs, z_true, y))
+        seed_keys = (seed, fold, 2, _METHOD_CODE[method])
+        records += _records_by_p(cand, method, p_values, "fold", fold, seed_keys, record)
     return records
 
 

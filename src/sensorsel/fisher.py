@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DuplicateSensorError,
@@ -165,8 +164,12 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ x = rhs`` for a symmetric ``gram`` by Cholesky.
 
     The Gram matrix must pass the singularity test, which leaves it safely
-    positive definite; inverses are never formed explicitly.
+    positive definite; inverses are never formed explicitly.  SciPy's
+    linear algebra loads its own BLAS, so it is imported here, on first
+    use, rather than with the package.
     """
+    import scipy.linalg
+
     _check_nonsingular(gram)
     factor = scipy.linalg.cho_factor(gram, check_finite=False)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,7 +75,9 @@ class SelectionResult:
 
     ``per_step_objective`` holds the method's own objective evaluated on
     the selected set after each step (NaN for methods without a stepwise
-    objective).  ``wall_time`` is the selection time in seconds.
+    objective).  ``wall_time`` is the selection time in seconds; for a
+    greedy method, the cumulative time of the first p picks of one
+    stepwise run (:func:`greedy_steps`).
     """
 
     method: Method
@@ -157,24 +159,24 @@ class _Factor:
 
 def _greedy(
     cand: CandidateMatrix,
-    p: int,
     method: Method,
     score: Callable[[_Factor], np.ndarray],
     index: Callable[[FisherInfo], float],
     minimize: bool,
-) -> SelectionResult:
-    """Select p rows one at a time, each the best under ``score``.
+) -> Iterator[SelectionResult]:
+    """Pick rows one at a time, each the best under ``score``, and yield
+    the result after every pick, up to all n rows.
 
     ``score`` rates every candidate against the current state (NaN marks
     one it skips); ``index`` of the selected set's Fisher information is
-    recorded after each step.
+    recorded after each step.  ``wall_time`` counts only the time spent
+    in this generator, not the time the caller holds it suspended.
     """
     u = cand.rows
-    _check_p(cand.n, p)
-    t0 = time.perf_counter()
+    elapsed, t0 = 0.0, time.perf_counter()
     state = _Factor(u)
     objective: list[float] = []
-    for k in range(p):
+    for k in range(cand.n):
         values = score(state)
         values[state.selected] = np.nan
         try:
@@ -184,11 +186,11 @@ def _greedy(
                 f"step {k + 1}: every remaining row adds no direction"
             ) from None
         state.add(i)
-        chosen = tuple(j + 1 for j in state.selected)
-        objective.append(index(fisher_info(SensorSet(chosen, u[state.selected]))))
-    wall = time.perf_counter() - t0
-    indices = tuple(i + 1 for i in state.selected)
-    return SelectionResult(method, indices, tuple(objective), wall)
+        indices = tuple(j + 1 for j in state.selected)
+        objective.append(index(fisher_info(SensorSet(indices, u[state.selected]))))
+        elapsed += time.perf_counter() - t0
+        yield SelectionResult(method, indices, tuple(objective), elapsed)
+        t0 = time.perf_counter()
 
 
 def _dg_score(state: _Factor) -> np.ndarray:
@@ -227,6 +229,28 @@ def _eg_score(state: _Factor) -> np.ndarray:
     return _eigvalsh(stacked)[:, 0]
 
 
+def greedy_steps(cand: CandidateMatrix, method: Method) -> Iterator[SelectionResult]:
+    """The stepwise run of a greedy method: yields the selection for p = 1, 2, ..., n.
+
+    A pick never depends on how many picks follow, so the p-th result is
+    the selection for p (``select_dg``/``select_ag``/``select_eg`` take it
+    from this run) and one run serves every p of a sweep.
+    """
+    if method is Method.DG:
+        return _greedy(cand, method, _dg_score, det_index, minimize=False)
+    if method is Method.AG:
+        return _greedy(cand, method, _ag_score, trace_inv_index, minimize=True)
+    if method is Method.EG:
+        return _greedy(cand, method, _eg_score, min_eig_index, minimize=False)
+    raise ValueError(f"{method.value} is not a greedy method")
+
+
+def _take(cand: CandidateMatrix, p: int, method: Method) -> SelectionResult:
+    """The p-th result of the stepwise run of ``method``."""
+    _check_p(cand.n, p)
+    return next(islice(greedy_steps(cand, method), p - 1, None))
+
+
 def select_dg(cand: CandidateMatrix, p: int) -> SelectionResult:
     """Determinant-greedy selection.
 
@@ -235,7 +259,7 @@ def select_dg(cand: CandidateMatrix, p: int) -> SelectionResult:
     sequence of U^T); subsequent sensors maximize the determinant via the
     rank-one ratio ``1 + u (C^T C)^-1 u^T``.
     """
-    return _greedy(cand, p, Method.DG, _dg_score, det_index, minimize=False)
+    return _take(cand, p, Method.DG)
 
 
 def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
@@ -247,7 +271,7 @@ def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
     are minimized.  Candidates whose projection residual vanishes are
     skipped for the current step.
     """
-    return _greedy(cand, p, Method.AG, _ag_score, trace_inv_index, minimize=True)
+    return _take(cand, p, Method.AG)
 
 
 def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
@@ -258,7 +282,7 @@ def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
     Each candidate is scored by a full symmetric eigendecomposition of
     the small k x k or r x r matrix.
     """
-    return _greedy(cand, p, Method.EG, _eg_score, min_eig_index, minimize=False)
+    return _take(cand, p, Method.EG)
 
 
 def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:

@@ -27,7 +27,7 @@ from sensorsel import (
     save_snapshots,
     trace_inv_index,
 )
-from sensorsel import cli
+from sensorsel import cli, selectors
 from sensorsel.cli import (
     ExperimentConfig,
     build_config,
@@ -243,6 +243,18 @@ class TestRunRandom:
             assert plain == optimized
 
 
+def fail_at_step(monkeypatch, score, step):
+    """Make the greedy score ``score`` raise a singular-Gram error at ``step``."""
+    real = getattr(selectors, score)
+
+    def failing(state):
+        if len(state.selected) == step - 1:
+            raise SingularInformationError("Gram matrix is singular")
+        return real(state)
+
+    monkeypatch.setattr(selectors, score, failing)
+
+
 def make_snapshot_file(tmp_path, n=40, m=25, rank=3, noise=0.0, seed=0, mask=None):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
@@ -326,6 +338,60 @@ class TestRunCv:
             run_cv(cfg)
 
 
+def per_p_records(cand, method, p_values, unit, number, seed_keys, record_of):
+    """Reference for ``cli._records_by_p``: one ``run_selector`` call per p."""
+    return [
+        record_of(cli.run_selector(cand, p, method, seed=derive_seed(*seed_keys, p)))
+        for p in p_values
+    ]
+
+
+class TestSelectOnce:
+    """Each greedy method runs once per trial or fold and serves every p."""
+
+    def cv_config(self, tmp_path, out):
+        path, _ = make_snapshot_file(tmp_path, n=40, m=25, rank=4, noise=0.1)
+        return ExperimentConfig(
+            mode="cv", r=4, k=3, p_min=1, p_max=9, seed=3,
+            methods=[Method.DG, Method.AG, Method.EG, Method.RANDOM],
+            data_path=str(path), data_format=SnapshotFormat.RAW_F64,
+            out_dir=str(tmp_path / out),
+        )
+
+    @pytest.mark.parametrize("mode", ["random", "cv"])
+    def test_csvs_equal_one_run_per_p(self, tmp_path, monkeypatch, mode):
+        if mode == "random":
+            configs = [small_config(tmp_path, sigma=0.2, out_dir=str(tmp_path / out)) for out in "ab"]
+            runner = run_random
+        else:
+            configs = [self.cv_config(tmp_path, out) for out in "ab"]
+            runner = run_cv
+        once = runner(configs[0])
+        monkeypatch.setattr(cli, "_records_by_p", per_p_records)
+        per_p = runner(configs[1])
+        for a, b in zip(once, per_p):
+            assert strip_wall_time(read_csv(a)) == strip_wall_time(read_csv(b))
+
+    def test_random_runs_each_greedy_method_once_per_trial(self, tmp_path, monkeypatch):
+        real = selectors._greedy
+        runs = []
+
+        def counted(cand, method, *args, **kwargs):
+            runs.append((float(cand.rows[0, 0]), method))
+            return real(cand, method, *args, **kwargs)
+
+        monkeypatch.setattr(selectors, "_greedy", counted)
+        cfg = small_config(tmp_path)
+        run_random(cfg)
+        assert len(runs) == len(set(runs)) == 3 * cfg.trials
+
+    def test_wall_time_grows_with_p(self, tmp_path):
+        rows = read_csv(run_random(small_config(tmp_path, trials=1, sigma=0.2))[0])[1:]
+        for method in ("dg", "ag", "eg"):
+            times = [float(row[9]) for row in rows if row[0] == method]
+            assert times == sorted(times) and times[0] > 0.0
+
+
 class TestSubmodReport:
     def test_report_files(self, tmp_path):
         cfg = ExperimentConfig(mode="submod", seed=0, out_dir=str(tmp_path / "s"))
@@ -406,6 +472,24 @@ class TestMainExitCodes:
         assert len(out) == 4
         assert all(1 <= int(tok) <= 12 for tok in out)
 
+    def test_select_leaves_scipy_linalg_unloaded(self, tmp_path):
+        path = tmp_path / "cand.csv"
+        save_snapshots(SnapshotData(gen_random_system(12, 3, seed=4).rows), path, SnapshotFormat.CSV)
+        script = (
+            "import sys\n"
+            "from sensorsel import cli\n"
+            "for method in ('dg', 'ag', 'eg', 'random', 'brute'):\n"
+            f"    assert cli.main(['select', '--data', {str(path)!r}, '--p', '5', '--method', method]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        src = str(Path(sensorsel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize("method", ["dg", "brute"])
     def test_select_picks_only_valid_rows(self, tmp_path, capsys, method):
         x = gen_random_system(6, 2, seed=4).rows.copy()
@@ -474,14 +558,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("command", ["random", "cv"])
     def test_numerical_failure_names_the_case(self, tmp_path, monkeypatch, capsys, command):
-        real = cli.run_selector
-
-        def failing(cand, p, method, seed=0, **kwargs):
-            if method is Method.AG and p == 3:
-                raise SingularInformationError("Gram matrix is singular")
-            return real(cand, p, method, seed=seed, **kwargs)
-
-        monkeypatch.setattr(cli, "run_selector", failing)
+        fail_at_step(monkeypatch, "_ag_score", 3)
         if command == "random":
             argv = ["random", "--n", "15", "--r", "3", "--trials", "2"]
             case = "method=ag p=3 trial=0"
@@ -493,6 +570,35 @@ class TestMainExitCodes:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert case in err and "Gram matrix is singular" in err
+
+    def test_failure_before_p_min_is_named_p_min(self, tmp_path, monkeypatch, capsys):
+        fail_at_step(monkeypatch, "_ag_score", 2)
+        argv = ["random", "--n", "15", "--r", "3", "--p-min", "4", "--p-max", "5", "--trials", "1"]
+        assert main([*argv, "--methods", "ag", "--out", str(tmp_path)]) == 4
+        assert "method=ag p=4 trial=0: Gram matrix is singular" in capsys.readouterr().err
+
+    def test_dg_failure_is_named_before_any_ag_work(self, tmp_path, monkeypatch, capsys):
+        fail_at_step(monkeypatch, "_dg_score", 3)
+        ag_steps = []
+        real_ag = selectors._ag_score
+
+        def counted_ag(state):
+            ag_steps.append(len(state.selected) + 1)
+            return real_ag(state)
+
+        monkeypatch.setattr(selectors, "_ag_score", counted_ag)
+        argv = ["random", "--n", "15", "--r", "3", "--p-min", "2", "--p-max", "4", "--trials", "2"]
+        assert main([*argv, "--methods", "dg,ag", "--out", str(tmp_path)]) == 4
+        assert "method=dg p=3 trial=0: Gram matrix is singular" in capsys.readouterr().err
+        assert ag_steps == []
+
+    def test_cv_p_max_above_the_valid_locations_exits_2(self, tmp_path, capsys):
+        mask = np.ones(10, dtype=bool)
+        mask[[2, 5]] = False
+        path, _ = make_snapshot_file(tmp_path, n=10, mask=mask)
+        argv = ["cv", "--data", str(path), "--format", "raw", "--r", "3", "--p-min", "7"]
+        assert main([*argv, "--p-max", "9", "--out", str(tmp_path / "out")]) == 2
+        assert "requested 9 sensors from 8 candidates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", list(error_classes()), ids=lambda cls: cls.__name__)
     def test_every_error_class_exits_with_its_category_code(self, monkeypatch, capsys, error):

@@ -26,7 +26,7 @@ from sensorsel import (
     select_random,
     trace_inv_index,
 )
-from sensorsel.selectors import _argbest, _best_subset
+from sensorsel.selectors import _argbest, _best_subset, greedy_steps
 
 from conftest import gaussian_candidates
 
@@ -294,6 +294,23 @@ class TestSharedProperties:
         assert len(set(res.indices)) == 5
         assert len(res.per_step_objective) == 5
         assert res.wall_time >= 0.0
+
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG, Method.EG])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), spare=st.integers(1, 8))
+    def test_selection_at_p_is_the_prefix_of_one_run(self, method, seed, r, spare):
+        # p runs past r, so both regimes are covered
+        cand = gaussian_candidates(r + spare, r, seed)
+        for p, prefix in enumerate(greedy_steps(cand, method), start=1):
+            direct = run_selector(cand, p, method)
+            assert prefix.method is method
+            assert prefix.indices == direct.indices
+            assert prefix.per_step_objective == direct.per_step_objective
+        assert p == cand.n
+
+    def test_greedy_steps_refuses_other_methods(self):
+        with pytest.raises(ValueError, match="random is not a greedy method"):
+            greedy_steps(gaussian_candidates(5, 2, seed=0), Method.RANDOM)
 
     def test_dc_not_implemented(self):
         cand = gaussian_candidates(5, 2, seed=0)
