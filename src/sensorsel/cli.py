@@ -307,9 +307,10 @@ def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
             rows.append([method, str(p), f"{name}_mean", repr(stats[name])])
             if (Method.DG.value, p) in means:
                 base = means[(Method.DG.value, p)][name]
-                rows.append(
-                    [method, str(p), f"{name}_mean_dgnorm", repr(stats[name] / base)]
-                )
+                # IEEE division: a dg mean of 0 gives inf, or nan for 0/0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = float(np.float64(stats[name]) / base)
+                rows.append([method, str(p), f"{name}_mean_dgnorm", repr(ratio)])
         rows.append([method, str(p), "wall_time_s_mean", repr(stats["wall_time_s"])])
     return rows
 

@@ -490,6 +490,41 @@ class TestMainExitCodes:
         )
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_select_and_random_leave_scipy_sparse_unloaded(self, tmp_path):
+        path = tmp_path / "cand.csv"
+        save_snapshots(SnapshotData(gen_random_system(12, 3, seed=4).rows), path, SnapshotFormat.CSV)
+        script = (
+            "import sys\n"
+            "import sensorsel\n"
+            "from sensorsel import cli\n"
+            "for method in ('dg', 'ag', 'eg', 'random', 'brute'):\n"
+            f"    assert cli.main(['select', '--data', {str(path)!r}, '--p', '5', '--method', method]) == 0\n"
+            f"assert cli.main({SMALL_RANDOM + ['--out', str(tmp_path / 'rand')]!r}) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = str(Path(sensorsel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_random_summary_with_a_zero_dg_mean(self, tmp_path):
+        # sigma 0 and p = r = 3: dg reconstructs exactly, so its recon_error mean is 0.0
+        out = tmp_path / "zero"
+        argv = [
+            "random", "--n", "25", "--r", "3", "--p-min", "2", "--p-max", "5",
+            "--trials", "1", "--seed", "7", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        rows = read_csv(out / "random_summary.csv")[1:]
+        norm = {(row[0], row[1]): row[3] for row in rows if row[2] == "recon_error_mean_dgnorm"}
+        assert norm[("dg", "3")] == "nan"
+        assert norm[("random", "3")] == "inf"
+        assert norm[("dg", "2")] == "1.0"
+        assert len(rows) == 4 * 4 * (2 * 4 + 1)  # methods * p values * rows per (method, p)
+
     @pytest.mark.parametrize("method", ["dg", "brute"])
     def test_select_picks_only_valid_rows(self, tmp_path, capsys, method):
         x = gen_random_system(6, 2, seed=4).rows.copy()

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from sensorsel import (
     DataError,
@@ -214,6 +215,122 @@ class TestPod:
     def test_rank_out_of_range(self, r):
         with pytest.raises(RankOutOfRangeError):
             pod_truncate(SnapshotData(np.ones((4, 4)) + np.eye(4)), r)
+
+
+def lapack_pod(x, r):
+    """Reference: the r leading triplets of the full LAPACK SVD under pod_truncate's sign rule."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = u[:, :r], s[:r], vt[:r, :]
+    for j in range(r):
+        k = int(np.argmax(np.abs(u[:, j])))
+        if u[k, j] < 0.0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+    return u, s, vt.T
+
+
+def steep_snapshots(n, m, r, ratio, seed=0):
+    """Rank r + 8 matrix whose singular values fall geometrically, sigma_1 / sigma_r = ratio."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k = r + 8
+    a = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    b = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    s = float(ratio) ** (-np.arange(k) / (r - 1))
+    return (a * s) @ b.T
+
+
+def assert_same_pod(pod, x, r):
+    u, s, v = lapack_pod(x, r)
+    assert np.array_equal(pod.modes, u)
+    assert np.array_equal(pod.singular_values, s)
+    assert np.array_equal(pod.temporal, v)
+
+
+@pytest.fixture
+def arpack_calls(monkeypatch):
+    """Shapes passed to ``scipy.sparse.linalg.svds`` while the test runs."""
+    calls = []
+    svds = scipy.sparse.linalg.svds
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape)
+        return svds(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", counting)
+    return calls
+
+
+class TestPodArpack:
+    """pod_truncate on matrices large enough for ARPACK: min(n, m) >= 4 (2r + 1)."""
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    def test_matches_lapack_on_a_steep_spectrum(self, arpack_calls, shape):
+        # At sigma_1 / sigma_r = 2e6 the r-th mode itself is only determined to
+        # about 1e-11 (LAPACK's differs from the exact factors by that much), so
+        # modes are compared weighted by their singular value, on sigma_1's scale.
+        r = 4
+        x = steep_snapshots(*shape, r, ratio=2e6)
+        pod = pod_truncate(SnapshotData(x), r)
+        assert arpack_calls == [shape]
+        u, s, v = lapack_pod(x, r)
+        assert s[0] / s[-1] >= 1e6
+        tol = 1e-12 * s[0]
+        np.testing.assert_allclose(pod.singular_values, s, rtol=0, atol=tol)
+        np.testing.assert_allclose(pod.modes * pod.singular_values, u * s, rtol=0, atol=tol)
+        np.testing.assert_allclose(pod.temporal * pod.singular_values, v * s, rtol=0, atol=tol)
+
+    def test_too_steep_a_spectrum_falls_back_to_lapack(self, arpack_calls):
+        x = steep_snapshots(300, 120, 4, ratio=1e13)
+        pod = pod_truncate(SnapshotData(x), 4)
+        assert arpack_calls == [x.shape]
+        assert_same_pod(pod, x, 4)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
+            scipy.sparse.linalg.ArpackError(-9999),
+        ],
+        ids=["no-convergence", "other-arpack-error"],
+    )
+    def test_arpack_failure_falls_back_to_lapack(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing)
+        x = steep_snapshots(300, 120, 4, ratio=1e3)
+        assert_same_pod(pod_truncate(SnapshotData(x), 4), x, 4)
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    def test_masked_rows_and_mean_subtraction(self, arpack_calls, shape):
+        rng = np.random.Generator(np.random.PCG64(11))
+        x = steep_snapshots(*shape, 5, ratio=1e2, seed=1) + 0.1
+        mask = rng.random(shape[0]) >= 0.2
+        x[~mask] = np.nan
+        zeroed = np.where(mask[:, None], x, 0.0)
+        for subtract_mean in (False, True):
+            pod = pod_truncate(SnapshotData(x, mask=mask), 5, subtract_mean=subtract_mean)
+            assert np.abs(pod.modes[~mask]).max() <= 1e-14
+            oracle = zeroed - zeroed.mean(axis=1, keepdims=True) if subtract_mean else zeroed
+            u, s, v = lapack_pod(oracle, 5)
+            np.testing.assert_allclose(pod.singular_values, s, rtol=1e-12)
+            np.testing.assert_allclose(pod.modes, u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pod.temporal, v, rtol=0, atol=1e-12)
+        assert arpack_calls == [shape, shape]
+
+    def test_reruns_are_bit_identical(self, arpack_calls):
+        x = steep_snapshots(36, 300, 4, ratio=1e3)  # min(n, m) = 4 (2r + 1): the rule's edge
+        first, second = (pod_truncate(SnapshotData(x), 4) for _ in range(2))
+        assert arpack_calls == [x.shape, x.shape]
+        for name in ("modes", "singular_values", "temporal"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    @pytest.mark.parametrize("shape, r", [((300, 35), 4), ((35, 300), 4), ((400, 30), 5)])
+    def test_below_the_shape_rule_lapack_runs(self, arpack_calls, shape, r):
+        x = steep_snapshots(*shape, r, ratio=1e3)
+        pod = pod_truncate(SnapshotData(x), r)
+        assert arpack_calls == []
+        assert_same_pod(pod, x, r)
 
 
 class TestKfold:
