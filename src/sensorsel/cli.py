@@ -248,10 +248,7 @@ def evaluate_fold(
     the raw test snapshots at the selected locations; the reconstruction
     target is the projection of the test snapshots onto the training modes.
     """
-    train = data_mod.SnapshotData(
-        snapshots.X[:, train_cols], mask=snapshots.mask, grid=snapshots.grid
-    )
-    pod = data_mod.pod_truncate(train, r)
+    pod = data_mod.pod_truncate(snapshots.columns(train_cols), r)
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
     x_test = snapshots.X[:, test_cols]
     z_true = pod.modes.T @ x_test

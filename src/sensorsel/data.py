@@ -33,6 +33,7 @@ entire stream on every platform.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -95,6 +96,15 @@ class SnapshotData:
         x.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "mask", mask)
+
+    def columns(self, cols: np.ndarray) -> SnapshotData:
+        """The snapshots at the 0-based columns ``cols``, with this set's mask
+        and grid; columns of validated snapshots are not checked again."""
+        sub = copy.copy(self)
+        x = self.X[:, cols]
+        x.setflags(write=False)
+        object.__setattr__(sub, "X", x)
+        return sub
 
     @property
     def n(self) -> int:

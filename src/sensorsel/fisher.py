@@ -150,9 +150,21 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
         raise EigenSolverError(str(exc)) from exc
 
 
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a symmetric matrix, wrapping solver failures."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(str(exc)) from exc
+
+
 def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric ``gram``, raising if it is singular by the relative test."""
-    w = _eigvalsh(gram)
+    return _require_nonsingular(_eigvalsh(gram))
+
+
+def _require_nonsingular(w: np.ndarray) -> np.ndarray:
+    """``w``, the ascending eigenvalues of a Gram matrix, raising if it is singular by the relative test."""
     if w[0] <= EPS_SINGULAR * max(w[-1], 0.0):
         raise SingularInformationError(
             f"Gram matrix is singular (min eig {w[0]:.3e}, max eig {w[-1]:.3e})"

@@ -33,7 +33,9 @@ from .fisher import (
     FisherInfo,
     SensorSet,
     _check_nonsingular,
+    _eigh,
     _eigvalsh,
+    _require_nonsingular,
     build_measurement,
     det_index,
     fisher_info,
@@ -47,6 +49,15 @@ TIE_REL = 1e-12
 #: A row whose squared distance from the span of the selected rows is at
 #: or below this share of its squared norm adds no direction.
 REDUNDANT_REL = 1e-10
+
+#: Share of ``lambda_max + ||u||^2`` added to each E-greedy upper bound
+#: to cover the rounding of the bound and of the exact eigensolve, both
+#: O(r eps) of that norm; 1e-10 is about 4.5e5 eps.
+EG_BOUND_SLACK = 1e-10
+
+#: Candidates in the first exactly scored block of an E-greedy step; each
+#: further block doubles.
+EG_FIRST_BLOCK = 8
 
 #: Maximum number of subsets the exhaustive searches will enumerate.
 BRUTE_GUARD = 10**7
@@ -213,20 +224,80 @@ def _ag_score(state: _Factor) -> np.ndarray:
     return -_quad(y, y) / (1.0 + _quad(u, y))
 
 
+@np.errstate(all="ignore")  # a bound that overflows never prunes (_scores_that_can_win)
 def _eg_score(state: _Factor) -> np.ndarray:
+    """Smallest eigenvalue of each candidate's information matrix where the
+    candidate can still be picked, NaN where its upper bound rules it out
+    (the bounds are described in :func:`select_eg`)."""
     u = state.u
+    k = len(state.selected)
+    if k == 0:
+        return state.norms2.copy()  # the 1 x 1 bordered Gram
+    c = u[state.selected]
     if state.under:
-        n, k = u.shape[0], len(state.selected)
-        c = u[state.selected]
-        border = u @ c.T
-        stacked = np.empty((n, k + 1, k + 1))
-        stacked[:, :k, :k] = c @ c.T
-        stacked[:, :k, k] = border
-        stacked[:, k, :k] = border
-        stacked[:, k, k] = state.norms2
+        gram, border = c @ c.T, u @ c.T
+        lam, vecs = _eigh(gram)
+        a = border @ ((vecs / lam) @ vecs.T)  # u ~ a C, each row's projection
+        off = u - a @ c
+        bound = np.fmin(
+            _least_eig_2x2(lam[0], border @ vecs[:, 0], state.norms2),
+            _quad(off, off) / (1.0 + _quad(a, a)),
+        )
+
+        def exact(idx: np.ndarray) -> np.ndarray:
+            stacked = np.empty((len(idx), k + 1, k + 1))
+            stacked[:, :k, :k] = gram
+            stacked[:, :k, k] = border[idx]
+            stacked[:, k, :k] = border[idx]
+            stacked[:, k, k] = state.norms2[idx]
+            return _eigvalsh(stacked)[:, 0]
+
     else:
-        stacked = state.gram()[None, :, :] + u[:, :, None] * u[:, None, :]
-    return _eigvalsh(stacked)[:, 0]
+        gram = c.T @ c
+        lam, vecs = _eigh(gram)
+        _require_nonsingular(lam)
+        if u.shape[1] == 1:
+            return gram[0, 0] + u[:, 0] * u[:, 0]  # the 1 x 1 information
+        w = u @ vecs[:, :2]
+        bound = _least_eig_2x2(
+            lam[0] + w[:, 0] ** 2, w[:, 0] * w[:, 1], lam[1] + w[:, 1] ** 2
+        )
+
+        def exact(idx: np.ndarray) -> np.ndarray:
+            return _eigvalsh(gram + u[idx, :, None] * u[idx, None, :])[:, 0]
+
+    slack = EG_BOUND_SLACK * (lam[-1] + state.norms2) + np.finfo(float).tiny
+    return _scores_that_can_win(bound + slack, exact, state.selected)
+
+
+def _least_eig_2x2(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric ``[[a, b], [b, d]]``."""
+    return (a + d) / 2 - np.hypot((a - d) / 2, b)
+
+
+def _scores_that_can_win(
+    upper: np.ndarray, exact: Callable[[np.ndarray], np.ndarray], selected: list[int]
+) -> np.ndarray:
+    """``exact`` scores of the unselected candidates in descending order of
+    ``upper``, in doubling blocks, until the next upper bound lies below the
+    :func:`_argbest` tie band of the best score so far; NaN for the rest.
+
+    A non-finite bound (overflow) never rules a candidate out.
+    """
+    upper = np.where(np.isfinite(upper), upper, np.inf)
+    upper[selected] = -np.inf
+    order = np.argsort(-upper)[: len(upper) - len(selected)]
+    values = np.full(len(upper), np.nan)
+    best = -np.inf
+    start, size = 0, EG_FIRST_BLOCK
+    while start < len(order):
+        idx = order[start : start + size]
+        values[idx] = exact(idx)
+        best = np.fmax(best, np.fmax.reduce(values[idx]))
+        start, size = start + size, 2 * size
+        if start < len(order) and upper[order[start]] < best - TIE_REL * abs(best):
+            break
+    return values
 
 
 def greedy_steps(cand: CandidateMatrix, method: Method) -> Iterator[SelectionResult]:
@@ -279,8 +350,24 @@ def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
 
     Step k maximizes the smallest eigenvalue of the bordered row Gram
     matrix while p <= r and of the rank-one-updated ``C^T C`` past r.
-    Each candidate is scored by a full symmetric eigendecomposition of
-    the small k x k or r x r matrix.
+
+    Each step runs one eigendecomposition of ``C C^T`` (or ``C^T C``) and
+    bounds every candidate's score from above by Courant-Fischer on two
+    directions: with ``C C^T = V L V^T``, the least eigenvalue of
+    ``[[l_1, b_1], [b_1, ||u||^2]]`` (``b = V^T C u``) or the Rayleigh
+    quotient of ``(-a, 1)``, the direction that takes the candidate's
+    projection ``a^T C`` off it, whichever is less; past r, with
+    ``C^T C = V L V^T`` and ``w = V^T u``, the least eigenvalue of
+    ``[[l_1 + w_1^2, w_1 w_2], [w_1 w_2, l_2 + w_2^2]]``.  Each bound
+    gets a rounding slack of ``EG_BOUND_SLACK * (l_max + ||u||^2)``,
+    which covers the rounding of the bound and of the exact score.  The
+    candidates are then scored exactly, by the eigensolve of the bordered
+    Gram or of ``C^T C + u^T u``, in descending bound order, until the
+    next bound lies below the tie band of the best score.  A pruned
+    candidate can neither win nor tie, so every pick equals the step
+    that scores every candidate.  The first pick is the largest
+    ``||u||^2`` and, at r = 1, each later score is ``C^T C + u^2``
+    itself; neither needs a bound.
     """
     return _take(cand, p, Method.EG)
 

@@ -153,6 +153,31 @@ class TestRawFormat:
         np.testing.assert_array_equal(data.X, x)
 
 
+class TestColumns:
+    def test_equals_a_new_snapshot_set_of_the_columns(self):
+        x = np.random.default_rng(5).standard_normal((6, 7))
+        x[4, :] = np.nan  # allowed at a masked location
+        mask = np.array([True, True, False, True, False, True])
+        data = SnapshotData(x, mask=mask, grid=(2, 3))
+        cols = np.array([0, 2, 3, 6])
+        sub = data.columns(cols)
+        ref = SnapshotData(x[:, cols], mask=mask, grid=(2, 3))
+        np.testing.assert_array_equal(sub.X, ref.X)
+        np.testing.assert_array_equal(sub.mask, ref.mask)
+        assert sub.grid == ref.grid
+        assert not sub.X.flags.writeable
+        assert data.X.shape == (6, 7)
+
+    def test_does_not_validate_again(self, monkeypatch):
+        data = SnapshotData(np.ones((3, 4)))
+
+        def refuse(self):
+            raise AssertionError("validated again")
+
+        monkeypatch.setattr(SnapshotData, "__post_init__", refuse)
+        assert data.columns(np.array([1, 3])).X.shape == (3, 2)
+
+
 class TestPod:
     def test_diagonal_truncation(self):
         pod = pod_truncate(SnapshotData(np.diag([3.0, 2.0, 1.0])), 2)

@@ -26,7 +26,9 @@ from sensorsel import (
     select_random,
     trace_inv_index,
 )
-from sensorsel.selectors import _argbest, _best_subset, greedy_steps
+from sensorsel import selectors
+from sensorsel.fisher import _eigvalsh
+from sensorsel.selectors import _argbest, _best_subset, _greedy, greedy_steps
 
 from conftest import gaussian_candidates
 
@@ -168,6 +170,115 @@ class TestEG:
         steps = res.per_step_objective
         for k in range(5, 12):
             assert steps[k] >= steps[k - 1] - 1e-12
+
+
+def unpruned_eg_score(state):
+    """Every candidate's E-greedy score by one stacked eigensolve, none
+    pruned: the reference for the bound-pruned ``_eg_score``."""
+    u = state.u
+    if state.under:
+        n, k = u.shape[0], len(state.selected)
+        c = u[state.selected]
+        border = u @ c.T
+        stacked = np.empty((n, k + 1, k + 1))
+        stacked[:, :k, :k] = c @ c.T
+        stacked[:, :k, k] = border
+        stacked[:, k, :k] = border
+        stacked[:, k, k] = state.norms2
+    else:
+        stacked = state.gram()[None, :, :] + u[:, :, None] * u[:, None, :]
+    return _eigvalsh(stacked)[:, 0]
+
+
+def eg_run(steps):
+    """Indices and objectives after every pick, then the error that ended the run, if any."""
+    out = []
+    try:
+        for res in steps:
+            out.append((res.indices, res.per_step_objective))
+    except NoAdmissibleCandidateError as exc:
+        out.append(str(exc))
+    return out
+
+
+def assert_eg_equals_unpruned(rows):
+    """Pruned E-greedy equals the unpruned run, with the default first block
+    and with blocks of 1, 2, 4, ..., which test a bound at every size."""
+    cand = CandidateMatrix(rows)
+    unpruned = eg_run(
+        _greedy(cand, Method.EG, unpruned_eg_score, min_eig_index, minimize=False)
+    )
+    for first_block in (selectors.EG_FIRST_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selectors, "EG_FIRST_BLOCK", first_block)
+            assert eg_run(greedy_steps(cand, Method.EG)) == unpruned, first_block
+    assert_bounds_hold(cand)
+    return unpruned
+
+
+def assert_bounds_hold(cand):
+    """At every step, every unselected candidate's exact score is at or
+    below its upper bound, slack included."""
+    prune = selectors._scores_that_can_win
+
+    def check(upper, exact, selected):
+        rest = np.setdiff1d(np.arange(len(upper)), selected)
+        values, bounds = exact(rest), upper[rest]
+        bad = np.isfinite(bounds) & ~(values <= bounds)
+        assert not bad.any(), (len(selected), rest[bad], values[bad], bounds[bad])
+        return prune(upper, exact, selected)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "_scores_that_can_win", check)
+        eg_run(greedy_steps(cand, Method.EG))
+
+
+class TestEGPruning:
+    """Bound-pruned E-greedy steps pick exactly what scoring every candidate picks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), n=st.integers(2, 40))
+    def test_equals_unpruned_scoring(self, seed, r, n):
+        # runs go on to all n rows, past r, so both regimes are covered
+        rows = gaussian_candidates(max(n, r + 1), r, seed).rows
+        assert_eg_equals_unpruned(rows)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["duplicated", "sign-flipped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_bounds_pick_the_lowest_index(self, sign, seed):
+        base = gaussian_candidates(12, 4, seed=70 + seed).rows
+        run = assert_eg_equals_unpruned(np.vstack([base, sign * base]))
+        assert len(run) == 24
+        order = list(run[-1][0])
+        for i in range(1, 13):  # row i and its copy i + 12
+            assert order.index(i) < order.index(i + 12)
+
+    def test_integer_rows_with_exact_ties(self):
+        rows = np.random.default_rng(71).integers(-2, 3, size=(30, 4)).astype(float)
+        assert_eg_equals_unpruned(rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_mode(self, seed):
+        # r = 1: past the first pick the score is G + u^2 itself
+        run = assert_eg_equals_unpruned(gaussian_candidates(9, 1, seed=72 + seed).rows)
+        assert len(run) == 9
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extreme_scales(self, scale, seed):
+        # the slack's floor (the least normal float) and squares near the
+        # float range
+        assert_eg_equals_unpruned(scale * gaussian_candidates(15, 3, seed=73 + seed).rows)
+
+    def test_a_bound_that_is_not_finite_never_prunes(self, monkeypatch):
+        monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)
+        upper = np.array([5.0, np.nan, np.inf, -np.inf, 0.5, 0.4, 0.3, 0.2, 100.0])
+        exact = np.array([4.0, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
+        values = selectors._scores_that_can_win(upper, lambda idx: exact[idx], [8])
+        # blocks of 1, 2 and 4 rows: the three rows whose bound is not finite
+        # are scored first, row 7's bound falls below the best (4.0), and
+        # the selected row 8 is never scored
+        np.testing.assert_array_equal(values, [*exact[:7], np.nan, np.nan])
 
 
 class TestRandom:
