@@ -246,11 +246,14 @@ def evaluate_fold(
 
     Sensors are selected from the training modes; observations are rows of
     the raw test snapshots at the selected locations; the reconstruction
-    target is the projection of the test snapshots onto the training modes.
+    target is the projection of the test snapshots onto the training modes,
+    with masked rows zeroed as in the POD.
     """
     pod = data_mod.pod_truncate(snapshots.columns(train_cols), r)
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
     x_test = snapshots.X[:, test_cols]
+    if snapshots.mask is not None:  # masked rows may hold NaN
+        x_test[~snapshots.mask] = 0.0
     z_true = pod.modes.T @ x_test
 
     def record(sel: SelectionResult) -> ExperimentRecord:
@@ -478,10 +481,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="one-shot selection on a matrix file")
     sel.add_argument("--data", required=True, help="matrix file (columns = modes)")
     sel.add_argument("--format", choices=["csv", "raw"], default="csv")
-    sel.add_argument("--method", default="dg", choices=["dg", "ag", "eg", "random", "brute"])
+    sel.add_argument("--method", default="dg", choices=[m.value for m in Method])
     sel.add_argument("--p", type=int, required=True)
     sel.add_argument("--seed", type=int, default=0)
-    sel.add_argument("--criterion", choices=["d", "a", "e"], default="d")
+    sel.add_argument("--criterion", choices=[c.value for c in Criterion], default="d")
     return parser
 
 

@@ -259,8 +259,7 @@ def _load_raw(path: Path) -> SnapshotData:
             f"{path}: truncated payload ({len(blob) - offset} of {need} bytes)"
         )
     flat = np.frombuffer(blob, dtype="<f8", count=n * m, offset=offset)
-    x = flat.reshape((n, m), order="F").copy()
-    return SnapshotData(X=x, mask=mask)
+    return SnapshotData(X=flat.reshape((n, m), order="F"), mask=mask)
 
 
 def save_snapshots(

@@ -83,7 +83,7 @@ class CandidateMatrix:
     def take(self, indices: Sequence[int]) -> np.ndarray:
         """Stack rows ``indices`` (1-based, order preserved) into a p x r array."""
         idx = _validated_indices(indices, self.n)
-        return self.rows[[i - 1 for i in idx], :].copy()
+        return self.rows[[i - 1 for i in idx], :]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ differences below 1e-12 to zero, so runs are deterministic.
 
 The three greedy selectors share one loop and one factored state of the
 selected rows; each differs only in how it scores a candidate against
-that state.  They raise :class:`NoAdmissibleCandidateError` when one of
-the first r picks would lie in the span of the rows already picked.
+that state.  For the first r picks they skip the rows in the span of the
+rows already picked and raise :class:`NoAdmissibleCandidateError`,
+naming the step, when no other row is left.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class Method(Enum):
     EG = "eg"
     RANDOM = "random"
     BRUTE = "brute"
-    DC = "dc"  # convex relaxation, not implemented
 
 
 class Criterion(Enum):
@@ -128,7 +128,9 @@ class _Factor:
     coordinates on an orthonormal basis of the selected rows and ``res2``
     its squared distance from their span; ``coords[:k, selected]^T`` is the
     lower-triangular factor L of ``C C^T = L L^T``.  From r rows on, the
-    information is ``C^T C``, formed fresh by :meth:`gram`.
+    information is ``C^T C``, formed fresh by :meth:`gram`.  ``excluded``
+    marks the rows the next step may not pick: the selected rows and, while
+    k < r, the rows whose ``res2`` is at most ``floor`` (no new direction).
     """
 
     def __init__(self, u: np.ndarray):
@@ -137,28 +139,28 @@ class _Factor:
         self.res2 = self.norms2.copy()
         self.coords = np.empty((u.shape[1], u.shape[0]))
         self.selected: list[int] = []
+        self.floor = REDUNDANT_REL * self.norms2
+        self.excluded = self.res2 <= self.floor
 
     @property
     def under(self) -> bool:
         """Whether the next row is at most the r-th, so ``C C^T`` carries the information."""
         return len(self.selected) < self.u.shape[1]
 
-    def adds_direction(self) -> np.ndarray:
-        """Mask of the candidates that lie outside the span of the selected rows."""
-        return self.res2 > REDUNDANT_REL * self.norms2
-
     def add(self, i: int) -> None:
         if self.under:
             k = len(self.selected)
-            if not self.adds_direction()[i]:
-                raise NoAdmissibleCandidateError(
-                    f"step {k + 1}: row {i + 1} adds no direction to the selected rows"
-                )
             prev = self.coords[:k]
             row = (self.u @ self.u[i] - prev.T @ prev[:, i]) / math.sqrt(self.res2[i])
             self.coords[k] = row
             self.res2 -= row * row
+            if k + 1 < self.u.shape[1]:
+                self.excluded = self.res2 <= self.floor
+            else:  # from r rows on, every row adds information
+                self.excluded = np.zeros_like(self.excluded)
+            self.excluded[self.selected] = True
         self.selected.append(i)
+        self.excluded[i] = True
 
     def gram(self) -> np.ndarray:
         """``C^T C`` of the selected rows, checked to be nonsingular."""
@@ -189,7 +191,7 @@ def _greedy(
     objective: list[float] = []
     for k in range(cand.n):
         values = score(state)
-        values[state.selected] = np.nan
+        values[state.excluded] = np.nan
         try:
             i = _argbest(values, minimize)
         except NoAdmissibleCandidateError:
@@ -217,7 +219,7 @@ def _ag_score(state: _Factor) -> np.ndarray:
         coords = state.coords[: len(state.selected)]
         y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
         values = np.full(u.shape[0], np.nan)
-        ok = state.adds_direction()
+        ok = ~state.excluded
         values[ok] = (_quad(y, y)[ok] + 1.0) / state.res2[ok]
         return values
     y = u @ np.linalg.inv(state.gram())
@@ -238,10 +240,9 @@ def _eg_score(state: _Factor) -> np.ndarray:
         gram, border = c @ c.T, u @ c.T
         lam, vecs = _eigh(gram)
         a = border @ ((vecs / lam) @ vecs.T)  # u ~ a C, each row's projection
-        off = u - a @ c
         bound = np.fmin(
             _least_eig_2x2(lam[0], border @ vecs[:, 0], state.norms2),
-            _quad(off, off) / (1.0 + _quad(a, a)),
+            state.res2 / (1.0 + _quad(a, a)),
         )
 
         def exact(idx: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ def _eg_score(state: _Factor) -> np.ndarray:
             return _eigvalsh(gram + u[idx, :, None] * u[idx, None, :])[:, 0]
 
     slack = EG_BOUND_SLACK * (lam[-1] + state.norms2) + np.finfo(float).tiny
-    return _scores_that_can_win(bound + slack, exact, state.selected)
+    return _scores_that_can_win(bound + slack, exact, state.excluded)
 
 
 def _least_eig_2x2(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -276,17 +277,17 @@ def _least_eig_2x2(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _scores_that_can_win(
-    upper: np.ndarray, exact: Callable[[np.ndarray], np.ndarray], selected: list[int]
+    upper: np.ndarray, exact: Callable[[np.ndarray], np.ndarray], excluded: np.ndarray
 ) -> np.ndarray:
-    """``exact`` scores of the unselected candidates in descending order of
+    """``exact`` scores of the candidates not ``excluded`` in descending order of
     ``upper``, in doubling blocks, until the next upper bound lies below the
     :func:`_argbest` tie band of the best score so far; NaN for the rest.
 
     A non-finite bound (overflow) never rules a candidate out.
     """
     upper = np.where(np.isfinite(upper), upper, np.inf)
-    upper[selected] = -np.inf
-    order = np.argsort(-upper)[: len(upper) - len(selected)]
+    upper[excluded] = -np.inf
+    order = np.argsort(-upper)[: len(upper) - np.count_nonzero(excluded)]
     values = np.full(len(upper), np.nan)
     best = -np.inf
     start, size = 0, EG_FIRST_BLOCK
@@ -339,8 +340,8 @@ def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
     While p <= r the step objective is the bordered-inverse ratio
     ``(u C^T (C C^T)^-2 C u^T + 1) / (u (I - C^T (C C^T)^-1 C) u^T)``;
     past r it is ``-(u (C^T C)^-2 u^T) / (1 + u (C^T C)^-1 u^T)``.  Both
-    are minimized.  Candidates whose projection residual vanishes are
-    skipped for the current step.
+    are minimized.  Like every greedy selector, it skips the candidates
+    whose projection residual vanishes for the current step.
     """
     return _take(cand, p, Method.AG)
 
@@ -354,9 +355,9 @@ def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
     Each step runs one eigendecomposition of ``C C^T`` (or ``C^T C``) and
     bounds every candidate's score from above by Courant-Fischer on two
     directions: with ``C C^T = V L V^T``, the least eigenvalue of
-    ``[[l_1, b_1], [b_1, ||u||^2]]`` (``b = V^T C u``) or the Rayleigh
-    quotient of ``(-a, 1)``, the direction that takes the candidate's
-    projection ``a^T C`` off it, whichever is less; past r, with
+    ``[[l_1, b_1], [b_1, ||u||^2]]`` (``b = V^T C u``) or, if less, the
+    Rayleigh quotient ``res2 / (1 + ||a||^2)`` of ``(-a, 1)``, where
+    ``a C`` is the candidate's projection on the picked rows; past r, with
     ``C^T C = V L V^T`` and ``w = V^T u``, the least eigenvalue of
     ``[[l_1 + w_1^2, w_1 w_2], [w_1 w_2, l_2 + w_2^2]]``.  Each bound
     gets a rounding slack of ``EG_BOUND_SLACK * (l_max + ||u||^2)``,
@@ -467,8 +468,4 @@ def run_selector(
         return select_eg(cand, p)
     if method is Method.RANDOM:
         return select_random(cand, p, seed)
-    if method is Method.BRUTE:
-        return select_bruteforce(cand, p, criterion)
-    raise NotImplementedError(
-        "convex-relaxation selection (DC) is not implemented"
-    )
+    return select_bruteforce(cand, p, criterion)

@@ -319,6 +319,31 @@ class TestRunCv:
             locations = [int(t) for t in row[4].split()]
             assert all(mask[loc - 1] for loc in locations)
 
+    def test_nan_at_masked_locations_reads_as_zero(self, tmp_path):
+        mask = np.ones(60, dtype=bool)
+        mask[[4, 41]] = False
+        x = np.random.default_rng(5).standard_normal((60, 30))
+        outputs = []
+        for fill in (0.0, np.nan):
+            x[~mask] = fill
+            path = tmp_path / f"snap_{fill}.raw"
+            save_snapshots(SnapshotData(x, mask=mask), path, SnapshotFormat.RAW_F64)
+            cfg = ExperimentConfig(
+                mode="cv",
+                r=3,
+                k=3,
+                p_min=2,
+                p_max=5,
+                data_path=str(path),
+                data_format=SnapshotFormat.RAW_F64,
+                out_dir=str(tmp_path / f"cv_{fill}"),
+            )
+            rec_path, _ = run_cv(cfg)
+            outputs.append(strip_wall_time(read_csv(rec_path)))
+        assert outputs[0] == outputs[1]
+        col = outputs[1][0].index("recon_error")
+        assert all(np.isfinite(float(row[col])) for row in outputs[1][1:])
+
     def test_rank_larger_than_training_fails_cleanly(self, tmp_path):
         path, _ = make_snapshot_file(tmp_path, n=10, m=6)
         cfg = ExperimentConfig(

@@ -221,12 +221,12 @@ def assert_bounds_hold(cand):
     below its upper bound, slack included."""
     prune = selectors._scores_that_can_win
 
-    def check(upper, exact, selected):
-        rest = np.setdiff1d(np.arange(len(upper)), selected)
+    def check(upper, exact, excluded):
+        rest = np.flatnonzero(~excluded)
         values, bounds = exact(rest), upper[rest]
         bad = np.isfinite(bounds) & ~(values <= bounds)
-        assert not bad.any(), (len(selected), rest[bad], values[bad], bounds[bad])
-        return prune(upper, exact, selected)
+        assert not bad.any(), (np.count_nonzero(excluded), rest[bad], values[bad], bounds[bad])
+        return prune(upper, exact, excluded)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(selectors, "_scores_that_can_win", check)
@@ -274,11 +274,24 @@ class TestEGPruning:
         monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)
         upper = np.array([5.0, np.nan, np.inf, -np.inf, 0.5, 0.4, 0.3, 0.2, 100.0])
         exact = np.array([4.0, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
-        values = selectors._scores_that_can_win(upper, lambda idx: exact[idx], [8])
+        values = selectors._scores_that_can_win(
+            upper, lambda idx: exact[idx], np.arange(9) == 8
+        )
         # blocks of 1, 2 and 4 rows: the three rows whose bound is not finite
         # are scored first, row 7's bound falls below the best (4.0), and
-        # the selected row 8 is never scored
+        # the excluded row 8 is never scored
         np.testing.assert_array_equal(values, [*exact[:7], np.nan, np.nan])
+
+    def test_an_excluded_row_is_never_scored(self, monkeypatch):
+        # row 0, excluded though not selected (a row that adds no
+        # direction), has the highest finite bound; the other rows are
+        # all scored, as no bound falls below the best of the rest (0.45)
+        monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)
+        upper = np.array([5.0, np.nan, np.inf, -np.inf, 0.5, 0.4, 0.3, 0.2, 100.0])
+        exact = np.array([4.0, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
+        excluded = np.isin(np.arange(9), [0, 8])
+        values = selectors._scores_that_can_win(upper, lambda idx: exact[idx], excluded)
+        np.testing.assert_array_equal(values, [np.nan, *exact[1:8], np.nan])
 
 
 class TestRandom:
@@ -423,11 +436,6 @@ class TestSharedProperties:
         with pytest.raises(ValueError, match="random is not a greedy method"):
             greedy_steps(gaussian_candidates(5, 2, seed=0), Method.RANDOM)
 
-    def test_dc_not_implemented(self):
-        cand = gaussian_candidates(5, 2, seed=0)
-        with pytest.raises(NotImplementedError):
-            run_selector(cand, 2, Method.DC)
-
     def test_brute_dispatch(self):
         cand = gaussian_candidates(6, 2, seed=54)
         res = run_selector(cand, 2, Method.BRUTE, criterion=Criterion.E)
@@ -436,7 +444,15 @@ class TestSharedProperties:
 
 
 class TestDegenerateInputs:
-    """With at most r rows selected, a pick that adds no direction raises."""
+    """With at most r rows selected, every greedy selector skips the rows
+    that add no direction and raises when no other row is left."""
+
+    @pytest.mark.parametrize("selector", GREEDY)
+    def test_skips_a_row_that_adds_no_direction(self, selector):
+        # after row 1, row 2 is in its span up to REDUNDANT_REL yet scores
+        # best under D and E; row 3 is the only one that adds a direction
+        cand = CandidateMatrix(np.array([[1.0, 0.0], [0.9, 5e-6], [0.0, 2e-6]]))
+        assert selector(cand, 2).indices == (1, 3)
 
     @pytest.mark.parametrize("selector", GREEDY)
     def test_rank_deficient_candidates(self, selector):
