@@ -246,14 +246,12 @@ def evaluate_fold(
 
     Sensors are selected from the training modes; observations are rows of
     the raw test snapshots at the selected locations; the reconstruction
-    target is the projection of the test snapshots onto the training modes,
-    with masked rows zeroed as in the POD.
+    target is the projection of the test snapshots onto the training modes
+    (masked rows read as zero in both; see ``SnapshotData``).
     """
     pod = data_mod.pod_truncate(snapshots.columns(train_cols), r)
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
     x_test = snapshots.X[:, test_cols]
-    if snapshots.mask is not None:  # masked rows may hold NaN
-        x_test[~snapshots.mask] = 0.0
     z_true = pod.modes.T @ x_test
 
     def record(sel: SelectionResult) -> ExperimentRecord:

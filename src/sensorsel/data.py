@@ -20,7 +20,7 @@ RAW_F64
 
     followed by n mask bytes when the flag is set (nonzero = valid
     location), then n*m float64 values in column-major order so that each
-    snapshot is contiguous.
+    snapshot is contiguous.  Masked values may be anything; they load as 0.
 
 An optional sidecar ``<path>.meta`` with ``key=value`` lines (source,
 units, grid) may be written next to a file; it is never read back by the
@@ -65,7 +65,7 @@ class SnapshotFormat(Enum):
 
 @dataclass(frozen=True)
 class SnapshotData:
-    """An n x m snapshot matrix with an optional location mask and grid shape."""
+    """An n x m snapshot matrix with an optional location mask (masked rows read 0) and grid."""
 
     X: np.ndarray
     mask: np.ndarray | None = None
@@ -82,11 +82,11 @@ class SnapshotData:
                 raise ValueError(
                     f"mask must have shape ({x.shape[0]},), got {mask.shape}"
                 )
+            if not mask.any():
+                raise DataError("the mask marks every location invalid")
             mask.setflags(write=False)
-        valid = x if mask is None else x[mask]
-        if valid.shape[0] == 0:
-            raise DataError("the mask marks every location invalid")
-        if not np.all(np.isfinite(valid)):
+            x[~mask] = 0.0
+        if not np.all(np.isfinite(x)):
             raise DataError("non-finite snapshot entries at valid locations")
         if self.grid is not None:
             w, h = self.grid
@@ -295,7 +295,7 @@ def save_snapshots(
 def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> PodModel:
     """Rank-r truncated SVD of the snapshot matrix.
 
-    Masked-out rows are zeroed before the decomposition.  With
+    Masked-out rows are zero (see :class:`SnapshotData`).  With
     ``subtract_mean`` the temporal mean of each row is removed first
     (masked rows stay zero either way).  Singular values are returned in
     nonincreasing order, and mode signs are fixed so the largest-magnitude
@@ -319,9 +319,6 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
     if r < 1 or r > min(n, m):
         raise RankOutOfRangeError(f"rank {r} outside [1, {min(n, m)}]")
     x = data.X
-    if data.mask is not None:
-        x = x.copy()
-        x[~data.mask, :] = 0.0
     if subtract_mean:
         x = x - x.mean(axis=1, keepdims=True)
     u, s, vt = _leading_svd(x, r)

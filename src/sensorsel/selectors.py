@@ -9,7 +9,10 @@ The three greedy selectors share one loop and one factored state of the
 selected rows; each differs only in how it scores a candidate against
 that state.  For the first r picks they skip the rows in the span of the
 rows already picked and raise :class:`NoAdmissibleCandidateError`,
-naming the step, when no other row is left.
+naming the step, when no other row is left or no score is finite.  The
+rule is relative to each row's own norm: a row tiny next to the others
+passes it and can make the run raise :class:`SingularInformationError`
+at a step that depends on the method.
 """
 
 from __future__ import annotations
@@ -190,14 +193,16 @@ def _greedy(
     state = _Factor(u)
     objective: list[float] = []
     for k in range(cand.n):
-        values = score(state)
+        with np.errstate(all="ignore"):  # scores may overflow; _argbest rejects a non-finite best
+            values = score(state)
         values[state.excluded] = np.nan
         try:
             i = _argbest(values, minimize)
         except NoAdmissibleCandidateError:
-            raise NoAdmissibleCandidateError(
-                f"step {k + 1}: every remaining row adds no direction"
-            ) from None
+            why = "no remaining row has a finite score"
+            if state.excluded.all():
+                why = "every remaining row adds no direction"
+            raise NoAdmissibleCandidateError(f"step {k + 1}: {why}") from None
         state.add(i)
         indices = tuple(j + 1 for j in state.selected)
         objective.append(index(fisher_info(SensorSet(indices, u[state.selected]))))
@@ -226,7 +231,6 @@ def _ag_score(state: _Factor) -> np.ndarray:
     return -_quad(y, y) / (1.0 + _quad(u, y))
 
 
-@np.errstate(all="ignore")  # a bound that overflows never prunes (_scores_that_can_win)
 def _eg_score(state: _Factor) -> np.ndarray:
     """Smallest eigenvalue of each candidate's information matrix where the
     candidate can still be picked, NaN where its upper bound rules it out

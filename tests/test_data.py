@@ -178,6 +178,46 @@ class TestColumns:
         assert data.columns(np.array([1, 3])).X.shape == (3, 2)
 
 
+class TestMaskedRows:
+    """Masked rows read as zero once a snapshot set is built, whatever they held."""
+
+    MASK = np.array([True, False, True, True, False, True])
+
+    @pytest.mark.parametrize("junk", [np.nan, np.inf, 7.5, -1e300])
+    def test_read_zero_and_valid_rows_are_unchanged(self, junk):
+        x = np.random.default_rng(11).standard_normal((6, 4))
+        x[~self.MASK] = junk
+        given = x.copy()
+        data = SnapshotData(x, mask=self.MASK)
+        assert np.all(data.X[~self.MASK] == 0.0)
+        assert data.X[self.MASK].tobytes() == x[self.MASK].tobytes()
+        np.testing.assert_array_equal(x, given)  # the input is not written
+
+    def test_columns_keep_them_zero(self):
+        x = np.random.default_rng(12).standard_normal((6, 5))
+        x[~self.MASK] = np.nan
+        sub = SnapshotData(x, mask=self.MASK).columns(np.array([4, 0, 2]))
+        assert np.all(sub.X[~self.MASK] == 0.0)
+        np.testing.assert_array_equal(sub.X[self.MASK], x[self.MASK][:, [4, 0, 2]])
+
+    def test_raw_file_with_nan_in_masked_rows_loads_zeros(self, tmp_path):
+        path = tmp_path / "nan.raw"
+        payload = struct.pack("<4d", 1.0, float("nan"), 2.0, float("nan"))
+        path.write_bytes(raw_header(2, 2, flags=1) + b"\x01\x00" + payload)
+        data = load_snapshots(path, SnapshotFormat.RAW_F64)
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0], [0.0, 0.0]])
+
+    def test_saved_file_holds_zeros_at_masked_rows(self, tmp_path):
+        x = np.random.default_rng(13).standard_normal((6, 3))
+        x[~self.MASK] = np.nan
+        path = tmp_path / "zeros.raw"
+        save_snapshots(SnapshotData(x, mask=self.MASK), path, SnapshotFormat.RAW_F64)
+        flat = np.frombuffer(path.read_bytes(), dtype="<f8", offset=32 + 6)
+        saved = flat.reshape((6, 3), order="F")
+        assert np.all(saved[~self.MASK] == 0.0)
+        np.testing.assert_array_equal(saved[self.MASK], x[self.MASK])
+
+
 class TestPod:
     def test_diagonal_truncation(self):
         pod = pod_truncate(SnapshotData(np.diag([3.0, 2.0, 1.0])), 2)

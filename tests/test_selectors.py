@@ -471,6 +471,42 @@ class TestDegenerateInputs:
         with pytest.raises(NoAdmissibleCandidateError, match="step 1:"):
             selector(cand, 7)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scores_that_overflow_are_not_called_redundant(self):
+        rows = gaussian_candidates(15, 3, seed=0).rows
+        # at 1e-160 the squares are subnormal but not zero, so not every row
+        # is skipped; ag's 1 / res2 overflows at step 1 and dg's inverse Gram
+        # at step 4, the first step past r
+        cand = CandidateMatrix(1e-160 * rows)
+        overflow = "no remaining row has a finite score"
+        with pytest.raises(NoAdmissibleCandidateError, match=f"step 1: {overflow}"):
+            select_ag(cand, 6)
+        with pytest.raises(NoAdmissibleCandidateError, match=f"step 4: {overflow}"):
+            select_dg(cand, 6)
+        assert select_eg(cand, 6).indices == (5, 3, 8, 9, 7, 13)
+        # at 1e-200 the squares are zero, so every row is skipped
+        redundant = "step 1: every remaining row adds no direction"
+        for selector in GREEDY:
+            with pytest.raises(NoAdmissibleCandidateError, match=redundant):
+                selector(CandidateMatrix(1e-200 * rows), 6)
+
+    @pytest.mark.parametrize("selector", GREEDY)
+    def test_a_tiny_row_passes_the_skip_rule_and_the_gram_turns_singular(self, selector):
+        # row 3 is tiny next to the others but adds its own direction; ag
+        # fails already at p = 3, while dg and eg pick (4, 1, 3) first
+        cand = CandidateMatrix(
+            np.array(
+                [
+                    [0.30, -0.53, -0.30],
+                    [0.30, -0.53, -0.30],
+                    [-2.7e-7, -8.6e-8, -4.0e-8],
+                    [-0.29, -2.35, -0.67],
+                ]
+            )
+        )
+        with pytest.raises(SingularInformationError):
+            selector(cand, 4)
+
     @pytest.mark.parametrize("selector", GREEDY)
     @settings(max_examples=25, deadline=None)
     @given(
