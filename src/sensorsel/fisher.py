@@ -163,13 +163,37 @@ def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
     return _require_nonsingular(_eigvalsh(gram))
 
 
+def _singular(w: np.ndarray) -> np.ndarray:
+    """Whether a Gram matrix fails the relative singularity test: its least
+    eigenvalue is at or below ``EPS_SINGULAR`` times its largest, so any
+    with a non-positive eigenvalue fails.  ``w`` holds the ascending
+    eigenvalues of one Gram matrix, or of one per row."""
+    return w.T[0] <= EPS_SINGULAR * w.T[-1]
+
+
 def _require_nonsingular(w: np.ndarray) -> np.ndarray:
-    """``w``, the ascending eigenvalues of a Gram matrix, raising if it is singular by the relative test."""
-    if w[0] <= EPS_SINGULAR * max(w[-1], 0.0):
+    """``w``, the ascending eigenvalues of a Gram matrix or one row per Gram
+    matrix, raising at the first one that :func:`_singular` flags."""
+    bad = _singular(w)
+    if bad.any() if bad.ndim else bad:
+        w = w.reshape(-1, w.shape[-1])[np.argmax(bad)]
         raise SingularInformationError(
             f"Gram matrix is singular (min eig {w[0]:.3e}, max eig {w[-1]:.3e})"
         )
     return w
+
+
+def _trace_inv(w: np.ndarray) -> np.ndarray:
+    """``sum(1 / w)`` over the last axis: the trace of each inverse Gram."""
+    return np.sum(1.0 / w, axis=-1)
+
+
+def _least_eig(w: np.ndarray) -> np.ndarray:
+    """Least of the ascending eigenvalues ``w`` (one Gram's, or one row per
+    Gram), clamped to zero where its magnitude is at most ``EPS_SINGULAR``
+    times that of the largest."""
+    lam = w.T[0]
+    return np.where(abs(lam) <= EPS_SINGULAR * abs(w.T[-1]), 0.0, lam)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -220,7 +244,8 @@ def det_index(f: FisherInfo) -> float:
     only the reported index (``per_step_objective``, the ``det_index`` CSV
     column) reads ``inf``.
     """
-    return float(np.linalg.det(f.matrix))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(f.matrix))
 
 
 def trace_inv_index(f: FisherInfo) -> float:
@@ -232,8 +257,7 @@ def trace_inv_index(f: FisherInfo) -> float:
         If the smallest eigenvalue is at or below ``EPS_SINGULAR`` times the
         largest.
     """
-    w = _check_nonsingular(f.matrix)
-    return float(np.sum(1.0 / w))
+    return float(_trace_inv(_check_nonsingular(f.matrix)))
 
 
 def min_eig_index(f: FisherInfo) -> float:
@@ -241,12 +265,7 @@ def min_eig_index(f: FisherInfo) -> float:
 
     Values within ``EPS_SINGULAR * ||matrix||`` of zero are clamped to zero.
     """
-    w = _eigvalsh(f.matrix)
-    lam = float(w[0])
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if abs(lam) <= EPS_SINGULAR * scale:
-        return 0.0
-    return lam
+    return float(_least_eig(_eigvalsh(f.matrix)))
 
 
 def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:

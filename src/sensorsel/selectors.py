@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     InstanceTooLargeError,
     NoAdmissibleCandidateError,
-    SingularInformationError,
     TooManySensorsError,
 )
 from .fisher import (
@@ -39,7 +38,10 @@ from .fisher import (
     _check_nonsingular,
     _eigh,
     _eigvalsh,
+    _least_eig,
     _require_nonsingular,
+    _singular,
+    _trace_inv,
     build_measurement,
     det_index,
     fisher_info,
@@ -65,6 +67,12 @@ EG_FIRST_BLOCK = 8
 
 #: Maximum number of subsets the exhaustive searches will enumerate.
 BRUTE_GUARD = 10**7
+
+#: Entries of the stacked p x r measurement matrices that the exhaustive
+#: searches score as one block (128 KiB of floats, small enough that a
+#: block adds nothing measurable to peak memory); a block holds at least
+#: one subset.
+BRUTE_BLOCK = 2**14
 
 
 class Method(Enum):
@@ -399,21 +407,35 @@ def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:
 
 
 def _best_subset(
-    n: int, p: int, value: Callable[[tuple[int, ...]], float], minimize: bool
+    n: int,
+    p: int,
+    score: Callable[[np.ndarray], np.ndarray],
+    minimize: bool,
+    r: int = 1,
 ) -> tuple[tuple[int, ...], float]:
-    """Best p-subset of {1..n} under ``value``, with its value.
+    """Best p-subset of {1..n} under ``score``, with its value.
 
-    Every subset is scored, in lexicographic order, and :func:`_argbest`
-    picks the winner, so near-ties go to the lexicographically smallest
-    subset and NaN values are skipped, as in a greedy step.  Guarded by
-    :data:`BRUTE_GUARD` on the number of subsets.
+    The subsets are scored in lexicographic order, in blocks of at most
+    :data:`BRUTE_BLOCK` // (p r) subsets (at least one), ``r`` being the
+    width of a candidate row: ``score`` takes a block as a (p, k) array
+    of 1-based indices, column j holding the j-th subset, and returns its
+    k values.  :func:`_argbest` then picks the winner, so near-ties go to
+    the lexicographically smallest subset and NaN values are skipped, as
+    in a greedy step.  Guarded by :data:`BRUTE_GUARD` on the number of
+    subsets.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
         raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
-    values = np.fromiter(map(value, combinations(range(1, n + 1), p)), float, total)
-    k = _argbest(values, minimize)
-    return next(islice(combinations(range(1, n + 1), p), k, None)), float(values[k])
+    size = max(1, BRUTE_BLOCK // (p * r))
+    subsets = combinations(range(1, n + 1), p)
+    values = np.empty(total)
+    for start in range(0, total, size):
+        k = min(size, total - start)
+        block = np.fromiter(chain.from_iterable(islice(subsets, k)), np.intp, k * p)
+        values[start : start + k] = score(block.reshape(k, p).T)
+    best = _argbest(values, minimize)
+    return next(islice(combinations(range(1, n + 1), p), best, None)), float(values[best])
 
 
 def select_bruteforce(
@@ -422,31 +444,37 @@ def select_bruteforce(
     """Exact optimizer over all p-subsets; ties go to the lexicographically
     smallest index set.
 
-    Each subset is scored by the :mod:`~sensorsel.fisher` index of its
-    criterion, except that D ranks by the log-determinant, which does not
-    overflow.  Subsets singular under A or D are skipped.  Guarded by
-    :data:`BRUTE_GUARD` on the number of subsets.  The returned
-    ``per_step_objective`` is NaN except for the final entry, which holds
-    the optimal index value.
+    The subsets are scored in blocks (see :func:`_best_subset`): one stack
+    of regime Gram matrices per block, ranked by the formula of the
+    criterion's :mod:`~sensorsel.fisher` index, except that D ranks by the
+    log-determinant, which does not overflow.  Subsets singular under A or
+    D are skipped.  Guarded by :data:`BRUTE_GUARD` on the number of
+    subsets.  The returned ``per_step_objective`` is NaN except for the
+    final entry, which holds the optimal index value.
     """
     u = cand.rows
     _check_p(cand.n, p)
 
-    def value(subset: tuple[int, ...]) -> float:
-        info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
+    def score(subsets: np.ndarray) -> np.ndarray:
+        c = u[subsets.T - 1]
+        ct = c.transpose(0, 2, 1)
+        gram = c @ ct if p <= cand.r else ct @ c
         if criterion is Criterion.D:
-            sign, logdet = np.linalg.slogdet(info.matrix)
-            return logdet if sign > 0 else -math.inf
+            sign, logdet = np.linalg.slogdet(gram)
+            return np.where(sign > 0, logdet, -np.inf)
+        w = _eigvalsh(gram)
         if criterion is Criterion.E:
-            return min_eig_index(info)
-        try:
-            return trace_inv_index(info)
-        except SingularInformationError:
-            return math.nan
+            return _least_eig(w)
+        values = np.full(len(w), np.nan)
+        ok = ~_singular(w)
+        values[ok] = _trace_inv(w[ok])
+        return values
 
     t0 = time.perf_counter()
     try:
-        best_subset, best_value = _best_subset(cand.n, p, value, criterion is Criterion.A)
+        best_subset, best_value = _best_subset(
+            cand.n, p, score, criterion is Criterion.A, cand.r
+        )
     except NoAdmissibleCandidateError:
         raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None
     if criterion is Criterion.D:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DuplicateSensorError, InstanceTooLargeError
 from . import fisher
 from .fisher import CandidateMatrix
-from .selectors import _best_subset, select_ag
+from .selectors import _best_subset, _check_p, select_ag
 
 #: Largest ``3**n`` (the count of nested pairs S <= T of n candidates) that the
 #: exhaustive submodularity and monotonicity scans accept, so n <= 14.
@@ -97,11 +97,11 @@ class SetObjective:
         c = self.cand.take(idx)
         if self.kind is ObjectiveKind.MODULAR_NORM:
             return float(np.einsum("ij,ij->", c, c))
-        if self.kind in (ObjectiveKind.A_EPS, ObjectiveKind.D_EPS):
-            info = fisher.FisherInfo(fisher.Regime.OVER, c.T @ c + self.epsilon * np.eye(r))
-            if self.kind is ObjectiveKind.D_EPS:
-                return fisher.det_index(info)
-            return r / self.epsilon - fisher.trace_inv_index(info)
+        if self.kind is ObjectiveKind.A_EPS:
+            return float(_a_eps_value(c, self.epsilon))
+        if self.kind is ObjectiveKind.D_EPS:
+            gram = _regularized_gram(c, self.epsilon)
+            return fisher.det_index(fisher.FisherInfo(fisher.Regime.OVER, gram))
         if self.kind is ObjectiveKind.E_RAW:
             return fisher.min_eig_index(fisher.fisher_info(fisher.SensorSet(tuple(idx), c)))
         return float(fisher._eigvalsh(c @ c.T)[0])  # E_GRAM_ROW
@@ -112,6 +112,19 @@ class SetObjective:
         if int(i) in idx:
             raise DuplicateSensorError(f"index {i} already in the set")
         return self.evaluate(idx | {int(i)}) - self.evaluate(idx)
+
+
+def _regularized_gram(c: np.ndarray, eps: float) -> np.ndarray:
+    """``C^T C + eps I`` of a measurement matrix, or of each in a stack."""
+    return np.swapaxes(c, -1, -2) @ c + eps * np.eye(c.shape[-1])
+
+
+def _a_eps_value(c: np.ndarray, eps: float) -> np.ndarray:
+    """``-tr[(C^T C + eps I)^-1] + r/eps`` of a measurement matrix, or of each
+    in a stack, raising ``SingularInformationError`` at the first
+    regularized Gram that is singular by the ``fisher`` test."""
+    w = fisher._require_nonsingular(fisher._eigvalsh(_regularized_gram(c, eps)))
+    return c.shape[-1] / eps - fisher._trace_inv(w)
 
 
 @dataclass(frozen=True)
@@ -187,7 +200,7 @@ def _nested_pairs(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if 3**n > ENUM_GUARD:
         raise InstanceTooLargeError(f"scan of {n} candidates exceeds the enumeration guard")
-    s = t = size = np.zeros(1, dtype=np.int64)
+    s = t = size = np.zeros(1, dtype=np.int32)
     for i in range(n):
         # element i stays out of T, joins T only, or joins both S and T
         grow = size < max_set_size
@@ -197,6 +210,29 @@ def _nested_pairs(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
         size = np.concatenate([size, size_in, size_in])
     proper = s != t
     return s[proper], t[proper]
+
+
+def _witnesses(subsets: list[tuple[int, ...]], parts: list) -> tuple:
+    """Witness tuples ``(S, T)`` or ``(S, T, i)`` in the order Python sorts them.
+
+    ``parts`` is a list of mask arrays ``(s, t)`` or ``(s, t, i)``, which
+    this empties.  The subsets are ranked once in tuple order, and the
+    witnesses ordered by (rank of S, rank of T, i).  The tuples are built
+    only in that order, 2**16 at a time, and the arrays are freed before
+    the final copy, so the peak memory stays that of sorting the tuples.
+    """
+    s, t, *i = (np.concatenate(column) for column in zip(*parts))
+    parts.clear()
+    rank = np.empty(len(subsets), dtype=np.int64)
+    rank[sorted(range(len(subsets)), key=subsets.__getitem__)] = np.arange(len(subsets))
+    order = np.lexsort((*i, rank[t], rank[s]))
+    objects = np.fromiter(subsets, dtype=object, count=len(subsets))
+    found = [None] * len(order)
+    for k in range(0, len(order), 2**16):
+        b = order[k : k + 2**16]
+        found[k : k + 2**16] = zip(objects[s[b]], objects[t[b]], *(x[b].tolist() for x in i))
+    del s, t, i, order
+    return tuple(found)
 
 
 def check_submodular(
@@ -222,13 +258,12 @@ def check_submodular(
         diff = gain_s - gain_t
         checked += len(s)
         for viol, hit in ((sub_viol, diff < -bound), (super_viol, diff > bound)):
-            pairs = zip(s[hit].tolist(), t[hit].tolist())
-            viol += [(subsets[a], subsets[b], i + 1) for a, b in pairs]
+            viol.append((s[hit], t[hit], np.full(np.count_nonzero(hit), i + 1, dtype=np.int8)))
     return ModularityReport(
         checked_pairs=checked,
         tolerance=tol,
-        violations_submodular=tuple(sorted(sub_viol)),
-        violations_supermodular=tuple(sorted(super_viol)),
+        violations_submodular=_witnesses(subsets, sub_viol),
+        violations_supermodular=_witnesses(subsets, super_viol),
     )
 
 
@@ -241,11 +276,10 @@ def check_monotone(
     subsets, values = _subset_table(obj, min(n, max_set_size))
     f_s, f_t = values[s], values[t]
     hit = f_t - f_s < -tol * np.maximum(np.maximum(1.0, np.abs(f_s)), np.abs(f_t))
-    pairs = zip(s[hit].tolist(), t[hit].tolist())
     return ModularityReport(
         checked_pairs=len(s),
         tolerance=tol,
-        violations_monotone=tuple(sorted((subsets[a], subsets[b]) for a, b in pairs)),
+        violations_monotone=_witnesses(subsets, [(s[hit], t[hit])]),
     )
 
 
@@ -343,10 +377,19 @@ def nemhauser_check(cand: CandidateMatrix, p: int, epsilon: float) -> NemhauserR
     Both sides are scored with the offset objective
     ``-tr[(C^T C + eps I)^-1] + r/eps``.  It is monotone but not
     submodular, so the Nemhauser bound ``1 - 1/e`` is not guaranteed and
-    the returned ratio is an empirical measurement.
+    the returned ratio is an empirical measurement.  The optimum scores
+    the p-subsets in blocks (see ``selectors._best_subset``), one stack of
+    regularized Gram matrices per block, with the formula of
+    :meth:`SetObjective.evaluate`; a singular one raises
+    ``SingularInformationError``.
     """
+    _check_p(cand.n, p)
     obj = SetObjective(ObjectiveKind.A_EPS, cand, epsilon)
-    opt_indices, opt_value = _best_subset(cand.n, p, obj.evaluate, minimize=False)
+
+    def score(subsets: np.ndarray) -> np.ndarray:
+        return _a_eps_value(cand.rows[subsets.T - 1], obj.epsilon)
+
+    opt_indices, opt_value = _best_subset(cand.n, p, score, minimize=False, r=cand.r)
     greedy = select_ag(cand, p)
     greedy_value = obj.evaluate(greedy.indices)
     return NemhauserResult(

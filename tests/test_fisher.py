@@ -121,6 +121,11 @@ class TestDetIndex:
     def test_singular_returns_zero(self):
         assert det_index(info_for([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_float_range_reads_inf_without_a_warning(self):
+        info = info_for(1e150 * gaussian_candidates(15, 3, seed=50).rows)
+        assert det_index(info) == np.inf
+
 
 class TestTraceInvIndex:
     def test_identity(self):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sensorsel import (
     InstanceTooLargeError,
     Method,
     NoAdmissibleCandidateError,
+    SensorSet,
     SingularInformationError,
     TooManySensorsError,
     build_measurement,
@@ -374,6 +376,105 @@ class TestBruteForce:
         k = _argbest(values, minimize)
         subset, value = _best_subset(3, 1, lambda s: values[s[0] - 1], minimize)
         assert (subset, value) == ((k + 1,), values[k])
+
+
+def unblocked_brute_value(cand, criterion):
+    """The score of one subset as select_bruteforce computed it before it
+    scored subsets in stacked blocks: one Fisher information per subset."""
+    u = cand.rows
+
+    def value(subset):
+        info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
+        if criterion is Criterion.D:
+            sign, logdet = np.linalg.slogdet(info.matrix)
+            return logdet if sign > 0 else -math.inf
+        if criterion is Criterion.E:
+            return min_eig_index(info)
+        try:
+            return trace_inv_index(info)
+        except SingularInformationError:
+            return math.nan
+
+    return value
+
+
+def candidates_with_singular_subsets(n, r, seed):
+    """Gaussian rows where row 2 repeats row 1 and row 4 is twice row 3."""
+    rows = gaussian_candidates(n, r, seed).rows.copy()
+    rows[1], rows[3] = rows[0], 2.0 * rows[2]
+    return CandidateMatrix(rows)
+
+
+class TestBruteForceBlocks:
+    """Brute force scores stacked blocks of subsets; its values, picks and
+    tie-breaks equal the per-subset scoring bit for bit at any block size."""
+
+    @staticmethod
+    def block_size(monkeypatch, subsets, p, r):
+        if subsets is not None:
+            monkeypatch.setattr(selectors, "BRUTE_BLOCK", subsets * p * r)
+
+    @staticmethod
+    def record_values(monkeypatch):
+        seen = []
+
+        def recording_argbest(values, minimize=False):
+            seen.append(values.copy())
+            return _argbest(values, minimize)
+
+        monkeypatch.setattr(selectors, "_argbest", recording_argbest)
+        return seen
+
+    @pytest.mark.parametrize("subsets", [1, 7, 10**4, None])
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.parametrize(
+        "n,r,p,singular",
+        [(10, 3, 3, False), (10, 3, 3, True), (10, 3, 4, True), (9, 4, 2, True), (8, 1, 3, False)],
+    )
+    def test_equals_per_subset_scoring(self, monkeypatch, subsets, criterion, n, r, p, singular):
+        seed = 80 + n + p
+        cand = candidates_with_singular_subsets(n, r, seed) if singular else gaussian_candidates(n, r, seed)
+        self.block_size(monkeypatch, subsets, p, r)
+        seen = self.record_values(monkeypatch)
+        res = select_bruteforce(cand, p, criterion)
+        expected = np.array(
+            [unblocked_brute_value(cand, criterion)(s) for s in combinations(range(1, n + 1), p)]
+        )
+        assert np.array_equal(seen[-1], expected, equal_nan=True)
+        k = _argbest(expected, criterion is Criterion.A)
+        best = next(islice(combinations(range(1, n + 1), p), k, None))
+        assert res.indices == best
+        if criterion is Criterion.D:
+            assert res.per_step_objective[-1] == det_index(fisher_info(build_measurement(cand, best)))
+        else:
+            assert res.per_step_objective[-1] == expected[k]
+        if singular and criterion is not Criterion.D:  # A skips, E clamps to 0
+            assert (np.isnan(expected) | (expected == 0.0)).any()
+
+    @pytest.mark.parametrize("subsets", [1, 7, None])
+    def test_a_with_every_subset_singular(self, monkeypatch, subsets):
+        cand = rank_deficient_candidates(6, 3, 1, seed=61)
+        self.block_size(monkeypatch, subsets, 4, 3)
+        value = unblocked_brute_value(cand, Criterion.A)
+        assert all(math.isnan(value(s)) for s in combinations(range(1, 7), 4))
+        with pytest.raises(NoAdmissibleCandidateError, match="every 4-subset"):
+            select_bruteforce(cand, 4, Criterion.A)
+
+    @pytest.mark.parametrize("subsets", [1, 7, None])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_near_tie_chain_across_blocks(self, monkeypatch, subsets, minimize):
+        step = -0.9e-12 if minimize else 0.9e-12
+        values = 1.0 + step * np.arange(20)
+        self.block_size(monkeypatch, subsets, 1, 1)
+        k = _argbest(values, minimize)
+        assert _best_subset(20, 1, lambda s: values[s[0] - 1], minimize) == ((k + 1,), values[k])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_d_past_the_float_range_picks_without_a_warning(self):
+        cand = gaussian_candidates(15, 3, seed=50)
+        res = select_bruteforce(CandidateMatrix(1e150 * cand.rows), 7, Criterion.D)
+        assert res.indices == select_bruteforce(cand, 7, Criterion.D).indices
+        assert res.per_step_objective[-1] == np.inf
 
 
 class TestSharedProperties:

@@ -24,6 +24,7 @@ from sensorsel import (
     select_ag,
     trace_inv_index,
 )
+from sensorsel import selectors
 from sensorsel.submod import DEFAULT_CHECK_TOL
 
 from conftest import char_cubic_min_root, gaussian_candidates
@@ -432,3 +433,27 @@ class TestNemhauserBound:
         cand = gaussian_candidates(80, 3, seed=74)
         with pytest.raises(InstanceTooLargeError):
             nemhauser_check(cand, 10, epsilon=1e-3)
+
+    @pytest.mark.parametrize("subsets", [1, 7, 10**4, None])
+    def test_blocked_optimum_is_the_exact_maximum(self, monkeypatch, subsets):
+        cand, p, eps = gaussian_candidates(10, 3, seed=75), 3, 1e-3
+        if subsets is not None:
+            monkeypatch.setattr(selectors, "BRUTE_BLOCK", subsets * p * cand.r)
+        res = nemhauser_check(cand, p, epsilon=eps)
+        obj = SetObjective(ObjectiveKind.A_EPS, cand, eps)
+        values = {sub: obj.evaluate(sub) for sub in combinations(range(1, 11), p)}
+        assert res.opt_value == max(values.values())
+        assert values[res.opt_indices] == res.opt_value
+
+    @pytest.mark.parametrize("subsets", [1, 7, None])
+    def test_singular_epsilon_raises_at_the_first_singular_subset(self, monkeypatch, subsets):
+        rows = gaussian_candidates(9, 3, seed=76).rows.copy()
+        rows[4] = rows[3]  # (1, 4, 5) is the first singular 3-subset
+        cand, eps = CandidateMatrix(rows), 1e-17
+        if subsets is not None:
+            monkeypatch.setattr(selectors, "BRUTE_BLOCK", subsets * 3 * cand.r)
+        with pytest.raises(SingularInformationError) as first:
+            SetObjective(ObjectiveKind.A_EPS, cand, eps).evaluate((1, 4, 5))
+        with pytest.raises(SingularInformationError) as blocked:
+            nemhauser_check(cand, 3, epsilon=eps)
+        assert str(blocked.value) == str(first.value)
