@@ -20,7 +20,8 @@ RAW_F64
 
     followed by n mask bytes when the flag is set (nonzero = valid
     location), then n*m float64 values in column-major order so that each
-    snapshot is contiguous.  Masked values may be anything; they load as 0.
+    snapshot is contiguous, and nothing after them.  Masked values may be
+    anything; they load as 0.
 
 An optional sidecar ``<path>.meta`` with ``key=value`` lines (source,
 units, grid) may be written next to a file; it is never read back by the
@@ -188,7 +189,7 @@ def load_snapshots(path: str | Path, fmt: SnapshotFormat) -> SnapshotData:
     Raises
     ------
     FormatError
-        Malformed or truncated file.
+        Malformed file, or one whose length does not match its header.
     DataError
         Non-finite values at valid locations, or no valid location.
     """
@@ -247,17 +248,13 @@ def _load_raw(path: Path) -> SnapshotData:
     if n < 1 or m < 1:
         raise FormatError(f"{path}: dimensions must be positive, got n={n} m={m}")
     offset = _HEADER.size
+    need = offset + (n if flags & 1 else 0) + n * m * 8
+    if len(blob) != need:
+        raise FormatError(f"{path}: {len(blob)} bytes, but the header implies {need}")
     mask = None
     if flags & 1:
-        if len(blob) < offset + n:
-            raise FormatError(f"{path}: truncated mask block")
         mask = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset) != 0
         offset += n
-    need = n * m * 8
-    if len(blob) < offset + need:
-        raise FormatError(
-            f"{path}: truncated payload ({len(blob) - offset} of {need} bytes)"
-        )
     flat = np.frombuffer(blob, dtype="<f8", count=n * m, offset=offset)
     return SnapshotData(X=flat.reshape((n, m), order="F"), mask=mask)
 

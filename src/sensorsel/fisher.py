@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,11 +38,6 @@ class Regime(Enum):
 
     UNDER = "under"
     OVER = "over"
-
-
-def regime_of(p: int, r: int) -> Regime:
-    """Regime for ``p`` sensors and ``r`` modes (UNDER when ``p <= r``)."""
-    return Regime.UNDER if p <= r else Regime.OVER
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,8 @@ class CandidateMatrix:
 
 @dataclass(frozen=True)
 class SensorSet:
-    """An ordered selection of sensors with its stacked measurement matrix."""
+    """An ordered selection of sensors with its stacked measurement matrix, which
+    must not change once ``info`` is formed (:func:`build_measurement` freezes it)."""
 
     indices: tuple[int, ...]
     measurement: np.ndarray
@@ -103,15 +100,29 @@ class SensorSet:
 
     @property
     def regime(self) -> Regime:
-        return regime_of(self.p, self.r)
+        return Regime.UNDER if self.p <= self.r else Regime.OVER
+
+    @cached_property
+    def info(self) -> FisherInfo:
+        """The regime Gram matrix, read-only (NumPy forms ``C C^T`` exactly symmetric)."""
+        c = self.measurement
+        gram = c @ c.T if self.regime is Regime.UNDER else c.T @ c
+        gram.setflags(write=False)
+        return FisherInfo(self.regime, gram)
 
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """The symmetric regime Gram matrix: ``C C^T`` when UNDER, ``C^T C`` when OVER."""
+    """The symmetric regime Gram matrix: ``C C^T`` when UNDER, ``C^T C`` when OVER,
+    which must not change once ``_eigvals`` is read (:func:`fisher_info` freezes it)."""
 
     regime: Regime
     matrix: np.ndarray
+
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        """Ascending eigenvalues of ``matrix``."""
+        return _eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -158,11 +169,6 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigenSolverError(str(exc)) from exc
 
 
-def _check_nonsingular(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric ``gram``, raising if it is singular by the relative test."""
-    return _require_nonsingular(_eigvalsh(gram))
-
-
 def _singular(w: np.ndarray) -> np.ndarray:
     """Whether a Gram matrix fails the relative singularity test: its least
     eigenvalue is at or below ``EPS_SINGULAR`` times its largest, so any
@@ -196,8 +202,8 @@ def _least_eig(w: np.ndarray) -> np.ndarray:
     return np.where(abs(lam) <= EPS_SINGULAR * abs(w.T[-1]), 0.0, lam)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` for a symmetric ``gram`` by Cholesky.
+def _solve_gram(info: FisherInfo, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``info.matrix @ x = rhs`` by Cholesky.
 
     The Gram matrix must pass the singularity test, which leaves it safely
     positive definite; inverses are never formed explicitly.  SciPy's
@@ -206,8 +212,8 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     import scipy.linalg
 
-    _check_nonsingular(gram)
-    factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    _require_nonsingular(info._eigvals)
+    factor = scipy.linalg.cho_factor(info.matrix, check_finite=False)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
@@ -224,15 +230,14 @@ def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSe
     idx = tuple(int(i) for i in indices)
     if len(idx) < 1:
         raise ValueError("at least one sensor index is required")
-    return SensorSet(indices=idx, measurement=cand.take(idx))
+    c = cand.take(idx)
+    c.setflags(write=False)
+    return SensorSet(indices=idx, measurement=c)
 
 
 def fisher_info(s: SensorSet) -> FisherInfo:
-    """Information matrix of a sensor set (NumPy forms ``C C^T`` exactly symmetric)."""
-    c = s.measurement
-    if s.regime is Regime.UNDER:
-        return FisherInfo(Regime.UNDER, c @ c.T)
-    return FisherInfo(Regime.OVER, c.T @ c)
+    """Information matrix of a sensor set, formed once per set (see ``SensorSet.info``)."""
+    return s.info
 
 
 def det_index(f: FisherInfo) -> float:
@@ -257,7 +262,7 @@ def trace_inv_index(f: FisherInfo) -> float:
         If the smallest eigenvalue is at or below ``EPS_SINGULAR`` times the
         largest.
     """
-    return float(_trace_inv(_check_nonsingular(f.matrix)))
+    return float(_trace_inv(_require_nonsingular(f._eigvals)))
 
 
 def min_eig_index(f: FisherInfo) -> float:
@@ -265,7 +270,7 @@ def min_eig_index(f: FisherInfo) -> float:
 
     Values within ``EPS_SINGULAR * ||matrix||`` of zero are clamped to zero.
     """
-    return float(_least_eig(_eigvalsh(f.matrix)))
+    return float(_least_eig(f._eigvals))
 
 
 def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
@@ -281,8 +286,8 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     if y.shape[0] != s.p:
         raise ValueError(f"y has leading dimension {y.shape[0]}, expected p={s.p}")
     if s.regime is Regime.UNDER:
-        return c.T @ _solve_gram(c @ c.T, y)
-    return _solve_gram(c.T @ c, c.T @ y)
+        return c.T @ _solve_gram(s.info, y)
+    return _solve_gram(s.info, c.T @ y)
 
 
 def error_covariance(
@@ -306,7 +311,7 @@ def error_covariance(
     r = s.r
     sig2 = noise.sigma**2
     if s.regime is Regime.OVER:
-        return _sym(sig2 * _solve_gram(c.T @ c, np.eye(r)))
+        return _sym(sig2 * _solve_gram(s.info, np.eye(r)))
     if prior_zz is None:
         prior = np.eye(r)
     else:
@@ -318,7 +323,7 @@ def error_covariance(
         wp = _eigvalsh(_sym(prior))
         if wp[0] < -EPS_SINGULAR * max(wp[-1], 1.0):
             raise ValueError("prior_zz must be positive semidefinite")
-    k = _solve_gram(c @ c.T, c)  # (C C^T)^-1 C, p x r
+    k = _solve_gram(s.info, c)  # (C C^T)^-1 C, p x r
     proj = c.T @ k
     residual = np.eye(r) - proj
     return _sym(residual @ prior @ residual + sig2 * (k.T @ k))
@@ -364,7 +369,6 @@ def observable_error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
     SingularInformationError
         If the Gram matrix fails the singularity test.
     """
-    c = s.measurement
     u, svals, v = observable_transform(s)
     smax = svals[0] if svals.size else 0.0
     smin = svals[-1] if svals.size else 0.0
@@ -372,10 +376,8 @@ def observable_error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
         raise RankDeficientError(
             f"measurement matrix is rank deficient (sigma_min {smin:.3e})"
         )
-    sig2 = noise.sigma**2
-    if s.regime is Regime.UNDER:
-        return _sym(sig2 * (u.T @ _solve_gram(c @ c.T, u)))
-    return _sym(sig2 * (v.T @ _solve_gram(c.T @ c, v)))
+    w = u if s.regime is Regime.UNDER else v
+    return _sym(noise.sigma**2 * (w.T @ _solve_gram(s.info, w)))
 
 
 def reconstruction_error(z_true: np.ndarray, z_est: np.ndarray) -> float:

@@ -35,7 +35,6 @@ from .fisher import (
     CandidateMatrix,
     FisherInfo,
     SensorSet,
-    _check_nonsingular,
     _eigh,
     _eigvalsh,
     _least_eig,
@@ -177,7 +176,7 @@ class _Factor:
         """``C^T C`` of the selected rows, checked to be nonsingular."""
         c = self.u[self.selected]
         gram = c.T @ c
-        _check_nonsingular(gram)
+        _require_nonsingular(_eigvalsh(gram))
         return gram
 
 

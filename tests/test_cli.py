@@ -15,19 +15,22 @@ from sensorsel import (
     DataError,
     Method,
     NumericalError,
+    SelectionResult,
     SensorSelError,
+    SensorSet,
     SingularInformationError,
     SnapshotData,
     SnapshotFormat,
     build_measurement,
     det_index,
     fisher_info,
+    gen_latent,
     gen_random_system,
     min_eig_index,
     save_snapshots,
     trace_inv_index,
 )
-from sensorsel import cli, selectors
+from sensorsel import cli, fisher, selectors
 from sensorsel.cli import (
     ExperimentConfig,
     build_config,
@@ -192,6 +195,32 @@ class TestRunRandom:
             assert float(row[5]) == pytest.approx(det_index(info), rel=1e-12)
             assert float(row[6]) == pytest.approx(trace_inv_index(info), rel=1e-12)
             assert float(row[7]) == pytest.approx(min_eig_index(info), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_record_forms_one_gram_and_one_eigensolve(self, monkeypatch, p):
+        grams = []
+
+        class GramCounter(np.ndarray):
+            """A measurement matrix that counts its products with its own transpose."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [np.asarray(x) for x in inputs]
+                if ufunc is np.matmul and np.shares_memory(*plain):
+                    grams.append(plain[0].shape)
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        eigensolves = []
+        eigvalsh = fisher._eigvalsh
+        monkeypatch.setattr(fisher, "_eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
+        cand = gen_random_system(8, 3, 0)
+        indices = tuple(range(1, p + 1))
+        s = SensorSet(indices, cand.take(indices).view(GramCounter))
+        sel = SelectionResult(Method.RANDOM, indices, (float("nan"),) * p, 0.0)
+        z = gen_latent(3, 1, 1)
+        y = cand.take(indices) @ z
+        cli._evaluate_selection(sel, s, 0, indices, z, y)
+        assert len(grams) == 1 and len(eigensolves) == 1
+        assert grams[0][0] == min(p, 3)
 
     def test_dg_normalized_rows_are_exactly_one(self, tmp_path):
         cfg = small_config(tmp_path)

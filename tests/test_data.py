@@ -99,6 +99,22 @@ class TestRawFormat:
         with pytest.raises(FormatError):
             load_snapshots(path, SnapshotFormat.RAW_F64)
 
+    def test_one_trailing_byte(self, tmp_path):
+        path = tmp_path / "long.raw"
+        mask = bytes([1, 0, 1])
+        path.write_bytes(raw_header(3, 2, flags=1) + mask + b"\0" * 48 + b"\0")
+        with pytest.raises(FormatError, match=r"long\.raw: 84 bytes, but the header implies 83"):
+            load_snapshots(path, SnapshotFormat.RAW_F64)
+
+    def test_header_n_too_small_is_not_reshaped(self, tmp_path):
+        # A 12x5 payload under a header that says n=10 would load as 10x5,
+        # its column 1 starting with the tail of column 0.
+        path = tmp_path / "bad_n.raw"
+        payload = np.arange(60.0).tobytes(order="F")
+        path.write_bytes(raw_header(10, 5) + payload)
+        with pytest.raises(FormatError, match=r"bad_n\.raw: 512 bytes, but the header implies 432"):
+            load_snapshots(path, SnapshotFormat.RAW_F64)
+
     def test_bad_magic_and_version(self, tmp_path):
         path = tmp_path / "bad.raw"
         path.write_bytes(raw_header(1, 1, magic=b"SNOP") + b"\0" * 8)

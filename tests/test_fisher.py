@@ -88,6 +88,16 @@ class TestFisherInfo:
         info = info_for(np.random.default_rng(0).standard_normal((7, 3)))
         np.testing.assert_array_equal(info.matrix, info.matrix.T)
 
+    @pytest.mark.parametrize("indices", [[1, 2], [1, 2, 3, 4, 5]])
+    def test_formed_once_from_read_only_arrays(self, cx, indices):
+        s = build_measurement(cx, indices)
+        info = fisher_info(s)
+        assert fisher_info(s) is info
+        with pytest.raises(ValueError, match="read-only"):
+            s.measurement[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            info.matrix[0, 0] = 1.0
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     @pytest.mark.parametrize("p, r, regime", [(50, 200, Regime.UNDER), (500, 20, Regime.OVER)])
