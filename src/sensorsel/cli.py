@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import data as data_mod
 from . import fisher, submod
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, EigenSolverError, NumericalError, SensorSelError
 from .selectors import Criterion, Method, SelectionResult, _check_p, greedy_steps, run_selector
 
 _METHOD_CODE = {Method.DG: 0, Method.AG: 1, Method.EG: 2, Method.RANDOM: 3}
@@ -115,28 +117,12 @@ def _cell(value: object) -> str:
 _RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
 
 
-def _evaluate_selection(
-    sel: SelectionResult,
-    s: fisher.SensorSet,
-    trial: int,
-    locations: tuple[int, ...],
-    z_true: np.ndarray,
-    y: np.ndarray,
-) -> ExperimentRecord:
-    """Record of one selection: Fisher indices of the selected set and the reconstruction error."""
-    info = fisher.fisher_info(s)
-    return ExperimentRecord(
-        method=sel.method.value,
-        p=len(sel.indices),
-        trial=trial,
-        indices=sel.indices,
-        locations=locations,
-        det_index=fisher.det_index(info),
-        trace_inv_index=fisher.trace_inv_index(info),
-        min_eig_index=fisher.min_eig_index(info),
-        recon_error=fisher.reconstruction_error(z_true, fisher.estimate(s, y)),
-        wall_time_s=sel.wall_time,
-    )
+class _Selected(NamedTuple):
+    """A selection waiting for evaluation: its candidate rows and reported locations."""
+
+    sel: SelectionResult
+    measurement: np.ndarray
+    locations: tuple[int, ...]
 
 
 @contextmanager
@@ -155,20 +141,19 @@ def _records_by_p(
     unit: str,
     number: int,
     seed_keys: tuple[int, ...],
-    record_of: Callable[[SelectionResult], ExperimentRecord],
-) -> list[ExperimentRecord]:
-    """Records of ``method`` at each p, built in the order of ``p_values``.
+    record_of: Callable[[SelectionResult], _Selected],
+) -> Iterator[_Selected]:
+    """Yield ``record_of(sel)`` for the selection of ``method`` at each p, in ``p_values`` order.
 
     A greedy method runs once: its selection for p is the p-th result of
     one stepwise run, advanced only as far as the largest p so far.  A
     step that fails is therefore raised at the first p that needs it,
-    after the records of the smaller p, and named as a run for that p
+    after the selections of the smaller p, and named as a run for that p
     alone would be.  ``random`` draws each p with seed
     ``derive_seed(*seed_keys, p)``.
     """
     steps = None if method is Method.RANDOM else greedy_steps(cand, method)
     prefixes: list[SelectionResult] = []
-    records = []
     for p in p_values:
         with _naming_case(method, p, unit, number):
             if steps is None:
@@ -178,7 +163,74 @@ def _records_by_p(
                 while len(prefixes) < p:
                     prefixes.append(next(steps))
                 sel = prefixes[p - 1]
-            records.append(record_of(sel))
+        yield record_of(sel)
+
+
+def _evaluate(
+    selections: Iterable[_Selected],
+    unit: str,
+    number: int,
+    z_true: np.ndarray,
+    observe: Callable[[_Selected], np.ndarray],
+) -> list[ExperimentRecord]:
+    """Records of one trial's or fold's selections: the Fisher indices of each
+    selected set and the error of reconstructing ``z_true`` from ``observe(item)``.
+
+    Each record forms its regime Gram once.  The Grams of one shape (one
+    group per p <= r, one for all p > r) are stacked for one ``det`` and
+    one ``eigvalsh``, which give each matrix the bits of a call on it
+    alone; the Cholesky solve of ``fisher.estimate`` stays per record.
+
+    The failure raised is the one a run that evaluates each selection as
+    it is made would hit first: selecting stops at the first failure, the
+    selections before it are evaluated in order and the first that fails
+    is raised, or else the selection failure.  A group whose stacked
+    eigensolve fails is solved one matrix at a time to find that record.
+    """
+    selected: list[_Selected] = []
+    failure = None
+    try:
+        for item in selections:
+            selected.append(item)
+    except SensorSelError as exc:
+        failure = exc
+    grams = [fisher._gram(item.measurement) for item in selected]
+    det, trace_inv, min_eig = np.empty((3, len(grams)))
+    eigvals: dict[int, np.ndarray] = {}
+    failed: dict[int, EigenSolverError] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, gram in enumerate(grams):
+        groups.setdefault(gram.shape, []).append(k)
+    for idx in groups.values():
+        stack = np.stack([grams[k] for k in idx])
+        det[idx] = fisher._det(stack)
+        try:
+            w = fisher._eigvalsh(stack)
+        except EigenSolverError:
+            w = np.full(stack.shape[:-1], np.nan)
+            for j, k in enumerate(idx):
+                try:
+                    w[j] = fisher._eigvalsh(grams[k])
+                except EigenSolverError as exc:
+                    failed[k] = exc
+        ok = ~fisher._singular(w)
+        trace_inv[np.asarray(idx)[ok]] = fisher._trace_inv(w[ok])
+        min_eig[idx] = fisher._least_eig(w)
+        eigvals.update(zip(idx, w))
+    records = []
+    for k, (sel, c, locations) in enumerate(selected):
+        with _naming_case(sel.method, len(sel.indices), unit, number):
+            if k in failed:
+                raise failed[k]
+            fisher._require_nonsingular(eigvals[k])
+            z_est = fisher._pinv_apply(c, grams[k], observe(selected[k]))
+            recon_error = fisher.reconstruction_error(z_true, z_est)
+        records.append(ExperimentRecord(
+            sel.method.value, len(sel.indices), number, sel.indices, locations,
+            float(det[k]), float(trace_inv[k]), float(min_eig[k]), recon_error, sel.wall_time,
+        ))
+    if failure is not None:
+        raise failure
     return records
 
 
@@ -193,19 +245,26 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
         cand = data_mod.gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
         z = data_mod.gen_latent(cfg.r, 1, derive_seed(cfg.seed, trial, 1))
 
-        def record(sel: SelectionResult) -> ExperimentRecord:
-            s = fisher.build_measurement(cand, sel.indices)
-            y = s.measurement @ z
+        def observe(item: _Selected) -> np.ndarray:
+            y = item.measurement @ z
             if cfg.sigma > 0:
-                noise_seed = derive_seed(cfg.seed, trial, 3, _METHOD_CODE[sel.method], s.p)
-                noise_rng = np.random.Generator(np.random.PCG64(noise_seed))
+                code, p = _METHOD_CODE[item.sel.method], len(item.sel.indices)
+                noise_rng = np.random.Generator(
+                    np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
+                )
                 y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
-            return _evaluate_selection(sel, s, trial, sel.indices, z, y)
+            return y
 
-        for method in cfg.methods:
-            records += _records_by_p(
-                cand, method, p_values, "trial", trial, (cfg.seed, trial, 2), record
-            )
+        def taken(sel: SelectionResult) -> _Selected:
+            return _Selected(sel, cand.take(sel.indices), sel.indices)
+
+        seed_keys = (cfg.seed, trial, 2)
+        selections = (
+            item
+            for method in cfg.methods
+            for item in _records_by_p(cand, method, p_values, "trial", trial, seed_keys, taken)
+        )
+        records += _evaluate(selections, "trial", trial, z, observe)
     return _emit(records, Path(cfg.out_dir), "random")
 
 
@@ -254,18 +313,20 @@ def evaluate_fold(
     x_test = snapshots.X[:, test_cols]
     z_true = pod.modes.T @ x_test
 
-    def record(sel: SelectionResult) -> ExperimentRecord:
-        s = fisher.build_measurement(cand, sel.indices)
+    def located(sel: SelectionResult) -> _Selected:
         orig = locations[[i - 1 for i in sel.indices]]
-        y = x_test[orig - 1, :]
-        locs = tuple(int(i) for i in orig)
-        return _evaluate_selection(sel, s, fold, locs, z_true, y)
+        return _Selected(sel, cand.take(sel.indices), tuple(int(i) for i in orig))
 
-    records = []
-    for method in methods:
-        seed_keys = (seed, fold, 2, _METHOD_CODE[method])
-        records += _records_by_p(cand, method, p_values, "fold", fold, seed_keys, record)
-    return records
+    selections = (
+        item
+        for method in methods
+        for item in _records_by_p(
+            cand, method, p_values, "fold", fold, (seed, fold, 2, _METHOD_CODE[method]), located
+        )
+    )
+    return _evaluate(
+        selections, "fold", fold, z_true, lambda item: x_test[[i - 1 for i in item.locations], :]
+    )
 
 
 def _emit(
@@ -288,28 +349,34 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
 
 
 def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
-    """Per-(method, p) metric means in long format, plus DG-normalized means."""
-    groups: dict[tuple[str, int], list[ExperimentRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.method, rec.p), []).append(rec)
-    means: dict[tuple[str, int], dict[str, float]] = {}
-    for key, recs in groups.items():
-        means[key] = {
-            name: float(np.mean([getattr(rec, name) for rec in recs]))
-            for name in _NORMALIZED_METRICS + ["wall_time_s"]
-        }
+    """Per-(method, p) metric means in long format, plus DG-normalized means.
+
+    Each group's means are one ``np.mean`` over the contiguous last axis of
+    its metrics (records in input order), so they keep NumPy's pairwise sum.
+    """
+    names = [*_NORMALIZED_METRICS, "wall_time_s"]
+    key_of = attrgetter("method", "p")
+    records = sorted(records, key=key_of)
+    values = np.array([np.fromiter(map(attrgetter(name), records), float) for name in names])
+    sizes = Counter(map(key_of, records))  # the (method, p) groups, in sorted order
+    means = np.empty((len(sizes), len(names)))
+    start = 0
+    for g, size in enumerate(sizes.values()):
+        means[g] = np.mean(values[:, start : start + size], axis=-1)
+        start += size
+    keys = list(sizes)
+    dg_group = {p: g for g, (method, p) in enumerate(keys) if method == Method.DG.value}
+    # IEEE division: a dg mean of 0 gives inf, or nan for 0/0 (a group with
+    # no dg group at its p divides by itself, and its ratios are not written)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = means / means[[dg_group.get(p, g) for g, (_, p) in enumerate(keys)]]
     rows = []
-    for (method, p) in sorted(means):
-        stats = means[(method, p)]
-        for name in _NORMALIZED_METRICS:
-            rows.append([method, str(p), f"{name}_mean", repr(stats[name])])
-            if (Method.DG.value, p) in means:
-                base = means[(Method.DG.value, p)][name]
-                # IEEE division: a dg mean of 0 gives inf, or nan for 0/0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = float(np.float64(stats[name]) / base)
-                rows.append([method, str(p), f"{name}_mean_dgnorm", repr(ratio)])
-        rows.append([method, str(p), "wall_time_s_mean", repr(stats["wall_time_s"])])
+    for (method, p), mean, ratio in zip(keys, means.tolist(), ratios.tolist()):
+        for name, value, norm in zip(_NORMALIZED_METRICS, mean, ratio):
+            rows.append([method, str(p), f"{name}_mean", repr(value)])
+            if p in dg_group:
+                rows.append([method, str(p), f"{name}_mean_dgnorm", repr(norm)])
+        rows.append([method, str(p), "wall_time_s_mean", repr(mean[-1])])
     return rows
 
 
@@ -463,7 +530,9 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="sensorsel",
         description="Greedy sparse sensor selection experiments",

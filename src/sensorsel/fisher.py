@@ -105,8 +105,7 @@ class SensorSet:
     @cached_property
     def info(self) -> FisherInfo:
         """The regime Gram matrix, read-only (NumPy forms ``C C^T`` exactly symmetric)."""
-        c = self.measurement
-        gram = c @ c.T if self.regime is Regime.UNDER else c.T @ c
+        gram = _gram(self.measurement)
         gram.setflags(write=False)
         return FisherInfo(self.regime, gram)
 
@@ -153,6 +152,11 @@ def _sym(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
+def _gram(c: np.ndarray) -> np.ndarray:
+    """Regime Gram matrix of a measurement ``c``: ``C C^T`` when p <= r, else ``C^T C``."""
+    return c @ c.T if c.shape[0] <= c.shape[1] else c.T @ c
+
+
 def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, wrapping solver failures."""
     try:
@@ -189,6 +193,13 @@ def _require_nonsingular(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _det(gram: np.ndarray) -> np.ndarray:
+    """Determinant of a Gram matrix, or of each in a stack: ``inf``, without a
+    warning, past the float range."""
+    with np.errstate(over="ignore"):
+        return np.linalg.det(gram)
+
+
 def _trace_inv(w: np.ndarray) -> np.ndarray:
     """``sum(1 / w)`` over the last axis: the trace of each inverse Gram."""
     return np.sum(1.0 / w, axis=-1)
@@ -203,18 +214,39 @@ def _least_eig(w: np.ndarray) -> np.ndarray:
 
 
 def _solve_gram(info: FisherInfo, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``info.matrix @ x = rhs`` by Cholesky.
-
-    The Gram matrix must pass the singularity test, which leaves it safely
-    positive definite; inverses are never formed explicitly.  SciPy's
-    linear algebra loads its own BLAS, so it is imported here, on first
-    use, rather than with the package.
-    """
-    import scipy.linalg
-
+    """Solve ``info.matrix @ x = rhs`` by Cholesky, once the Gram matrix passes
+    the singularity test, which leaves it safely positive definite; inverses
+    are never formed explicitly."""
     _require_nonsingular(info._eigvals)
-    factor = scipy.linalg.cho_factor(info.matrix, check_finite=False)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return _cholesky_solve(info.matrix, rhs)
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram @ x = rhs`` by LAPACK's upper Cholesky factor.
+
+    These are the ``potrf`` and ``potrs`` calls that ``scipy.linalg.cho_factor``
+    and ``cho_solve`` make, without their argument checks.  SciPy's linear
+    algebra loads its own BLAS, so it is imported here, on first use, rather
+    than with the package.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    factor, info = dpotrf(gram, lower=0, clean=0)
+    if info == 0:
+        x, info = dpotrs(factor, rhs, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return x
+
+
+def _pinv_apply(c: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`estimate`'s arithmetic on a measurement ``c`` and its regime
+    Gram ``gram``, which must pass the singularity test."""
+    if c.shape[0] <= c.shape[1]:
+        return c.T @ _cholesky_solve(gram, y)
+    return _cholesky_solve(gram, c.T @ y)
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:
@@ -249,8 +281,7 @@ def det_index(f: FisherInfo) -> float:
     only the reported index (``per_step_objective``, the ``det_index`` CSV
     column) reads ``inf``.
     """
-    with np.errstate(over="ignore"):
-        return float(np.linalg.det(f.matrix))
+    return float(_det(f.matrix))
 
 
 def trace_inv_index(f: FisherInfo) -> float:
@@ -281,13 +312,11 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     ``(C^T C)^-1 C^T y``.  ``y`` may be a p-vector or a p x m matrix of
     observation columns.
     """
-    c = s.measurement
     y = np.asarray(y, dtype=float)
     if y.shape[0] != s.p:
         raise ValueError(f"y has leading dimension {y.shape[0]}, expected p={s.p}")
-    if s.regime is Regime.UNDER:
-        return c.T @ _solve_gram(s.info, y)
-    return _solve_gram(s.info, c.T @ y)
+    _require_nonsingular(s.info._eigvals)
+    return _pinv_apply(s.measurement, s.info.matrix, y)
 
 
 def error_covariance(

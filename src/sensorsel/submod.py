@@ -14,6 +14,7 @@ ratio is an empirical check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -165,13 +166,14 @@ class ModularityReport:
 
     def witness_rows(self) -> list[dict]:
         """One dict per witness, ready for CSV serialization."""
+        cell = functools.cache(_fmt)  # the witnesses share few distinct subsets
         rows = []
         for s, t, i in self.violations_submodular:
-            rows.append({"check": "submodular", "S": _fmt(s), "T": _fmt(t), "i": i})
+            rows.append({"check": "submodular", "S": cell(s), "T": cell(t), "i": i})
         for s, t, i in self.violations_supermodular:
-            rows.append({"check": "supermodular", "S": _fmt(s), "T": _fmt(t), "i": i})
+            rows.append({"check": "supermodular", "S": cell(s), "T": cell(t), "i": i})
         for s, t in self.violations_monotone:
-            rows.append({"check": "monotone", "S": _fmt(s), "T": _fmt(t), "i": ""})
+            rows.append({"check": "monotone", "S": cell(s), "T": cell(t), "i": ""})
         return rows
 
 

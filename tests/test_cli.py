@@ -17,17 +17,22 @@ from sensorsel import (
     NumericalError,
     SelectionResult,
     SensorSelError,
-    SensorSet,
     SingularInformationError,
     SnapshotData,
     SnapshotFormat,
     build_measurement,
     det_index,
+    estimate,
     fisher_info,
     gen_latent,
     gen_random_system,
+    kfold,
+    load_snapshots,
     min_eig_index,
+    pod_truncate,
+    reconstruction_error,
     save_snapshots,
+    sensor_candidates,
     trace_inv_index,
 )
 from sensorsel import cli, fisher, selectors
@@ -198,6 +203,7 @@ class TestRunRandom:
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_record_forms_one_gram_and_one_eigensolve(self, monkeypatch, p):
+        """In a batch, each record forms its Gram once and each shape group runs one eigensolve."""
         grams = []
 
         class GramCounter(np.ndarray):
@@ -213,14 +219,18 @@ class TestRunRandom:
         eigvalsh = fisher._eigvalsh
         monkeypatch.setattr(fisher, "_eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
         cand = gen_random_system(8, 3, 0)
-        indices = tuple(range(1, p + 1))
-        s = SensorSet(indices, cand.take(indices).view(GramCounter))
-        sel = SelectionResult(Method.RANDOM, indices, (float("nan"),) * p, 0.0)
         z = gen_latent(3, 1, 1)
-        y = cand.take(indices) @ z
-        cli._evaluate_selection(sel, s, 0, indices, z, y)
-        assert len(grams) == 1 and len(eigensolves) == 1
-        assert grams[0][0] == min(p, 3)
+        sizes = [p, 1, p, 4]
+        batch = []
+        for q in sizes:
+            indices = tuple(range(1, q + 1))
+            sel = SelectionResult(Method.RANDOM, indices, (float("nan"),) * q, 0.0)
+            batch.append(cli._Selected(sel, cand.take(indices).view(GramCounter), indices))
+        records = cli._evaluate(batch, "trial", 0, z, lambda item: item.measurement @ z)
+        assert [rec.p for rec in records] == sizes
+        assert [shape[0] for shape in grams] == [min(q, 3) for q in sizes]
+        sides = [min(q, 3) for q in sizes]
+        assert sorted(eigensolves) == sorted((sides.count(m), m, m) for m in set(sides))
 
     def test_dg_normalized_rows_are_exactly_one(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -398,6 +408,113 @@ def per_p_records(cand, method, p_values, unit, number, seed_keys, record_of):
         record_of(cli.run_selector(cand, p, method, seed=derive_seed(*seed_keys, p)))
         for p in p_values
     ]
+
+
+def reference_cells(cand, indices, z_true, y):
+    """Float cells of one record by the per-record path: one sensor set at a time."""
+    s = build_measurement(cand, indices)
+    info = fisher_info(s)
+    values = (det_index(info), trace_inv_index(info), min_eig_index(info))
+    return [repr(v) for v in (*values, reconstruction_error(z_true, estimate(s, y)))]
+
+
+class TestBatchEvaluation:
+    """The stacked evaluation gives every record the bits of the per-record path."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_random_records_equal_the_per_record_path(self, tmp_path, sigma):
+        cfg = small_config(tmp_path, n=30, r=4, p_min=1, p_max=9, trials=3, sigma=sigma)
+        rows = read_csv(run_random(cfg)[0])[1:]
+        assert {int(row[1]) for row in rows} == set(range(1, 10))
+        for method, p, trial, indices, _, *cells, _ in rows:
+            trial, indices = int(trial), tuple(int(i) for i in indices.split())
+            cand = gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
+            z = gen_latent(cfg.r, 1, derive_seed(cfg.seed, trial, 1))
+            y = cand.take(indices) @ z
+            if sigma > 0:
+                code = cli._METHOD_CODE[Method(method)]
+                rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, int(p))))
+                y = y + sigma * rng.standard_normal(y.shape)
+            assert cells == reference_cells(cand, indices, z, y)
+
+    def test_cv_records_equal_the_per_record_path(self, tmp_path):
+        mask = np.ones(40, dtype=bool)
+        mask[[4, 11, 30]] = False
+        path, _ = make_snapshot_file(tmp_path, n=40, m=25, rank=5, noise=0.1, mask=mask)
+        snapshots = load_snapshots(path, SnapshotFormat.RAW_F64)
+        plan = kfold(snapshots.m, 3)
+        methods = [Method.DG, Method.AG, Method.EG, Method.RANDOM]
+        for fold in range(1, 4):
+            train, test = plan.train_columns(fold), plan.test_columns(fold)
+            records = evaluate_fold(snapshots, train, test, 4, list(range(1, 10)), methods, fold, 3)
+            assert {rec.p for rec in records} == set(range(1, 10))
+            pod = pod_truncate(snapshots.columns(train), 4)
+            cand, _ = sensor_candidates(pod, snapshots.mask)
+            x_test = snapshots.X[:, test]
+            z_true = pod.modes.T @ x_test
+            for rec in records:
+                y = x_test[np.array(rec.locations) - 1, :]
+                cells = [repr(rec.det_index), repr(rec.trace_inv_index)]
+                cells += [repr(rec.min_eig_index), repr(rec.recon_error)]
+                assert cells == reference_cells(cand, rec.indices, z_true, y)
+
+
+def reference_summary_rows(records):
+    """``_summary_rows`` as one ``np.mean`` per list of values and one division per ratio."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.method, rec.p), []).append(rec)
+    names = ["det_index", "trace_inv_index", "min_eig_index", "recon_error"]
+    means = {
+        key: {name: float(np.mean([getattr(rec, name) for rec in recs])) for name in [*names, "wall_time_s"]}
+        for key, recs in groups.items()
+    }
+    rows = []
+    for method, p in sorted(means):
+        stats = means[(method, p)]
+        for name in names:
+            rows.append([method, str(p), f"{name}_mean", repr(stats[name])])
+            if ("dg", p) in means:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = float(np.float64(stats[name]) / means[("dg", p)][name])
+                rows.append([method, str(p), f"{name}_mean_dgnorm", repr(ratio)])
+        rows.append([method, str(p), "wall_time_s_mean", repr(stats["wall_time_s"])])
+    return rows
+
+
+class TestSummaryRows:
+    """The array summary writes the rows of one ``np.mean`` per list, byte for byte."""
+
+    def records(self, methods, count, zero_dg=False, seed=0):
+        rng = np.random.default_rng(seed)
+        out = []
+        for method in methods:
+            for p in (1, 2, 3):
+                for trial in range(count):
+                    # magnitudes spread over 16 decades, so the order of summation shows
+                    values = rng.standard_normal(5) * 10.0 ** rng.integers(-8, 8, 5)
+                    if zero_dg and method == "dg":
+                        values[3] = 0.0  # recon_error: the dg mean is 0
+                        values[2] = 0.0 if p == 1 else values[2]
+                    out.append(cli.ExperimentRecord(method, p, trial, (1,), (1,), *values.tolist()))
+        order = rng.permutation(len(out))
+        return [out[k] for k in order]
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 200])
+    @pytest.mark.parametrize("methods", [("dg", "ag", "random"), ("ag", "eg")], ids=["dg", "no-dg"])
+    def test_equals_a_mean_per_list(self, count, methods):
+        records = self.records(methods, count, seed=count)
+        rows = cli._summary_rows(records)
+        assert rows == reference_summary_rows(records)
+        assert any(row[2].endswith("_dgnorm") for row in rows) == ("dg" in methods)
+
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_a_dg_mean_of_zero(self, count):
+        records = self.records(("dg", "ag", "eg"), count, zero_dg=True)
+        rows = cli._summary_rows(records)
+        assert rows == reference_summary_rows(records)
+        ratios = {row[3] for row in rows if row[2] == "recon_error_mean_dgnorm"}
+        assert "nan" in ratios and ratios & {"inf", "-inf"}
 
 
 class TestSelectOnce:
@@ -680,6 +797,25 @@ class TestMainExitCodes:
         assert main([*argv, "--methods", "dg,ag", "--out", str(tmp_path)]) == 4
         assert "method=dg p=3 trial=0: Gram matrix is singular" in capsys.readouterr().err
         assert ag_steps == []
+
+    @pytest.mark.parametrize(
+        "methods, case",
+        [
+            ("random,dg", "method=random p=2 trial=0: Gram matrix is singular"),
+            ("dg,random", "method=dg p=2 trial=0: step 2: every remaining row adds no direction"),
+        ],
+    )
+    def test_evaluation_failure_is_named_in_run_order(self, tmp_path, monkeypatch, capsys, methods, case):
+        """With rank-1 rows, random's p=2 record fails in evaluation and dg's step 2 in selection."""
+
+        def rank_one(n, r, seed):
+            rng = np.random.default_rng(seed)
+            return CandidateMatrix(np.outer(rng.standard_normal(n), rng.standard_normal(r)))
+
+        monkeypatch.setattr(sensorsel.data, "gen_random_system", rank_one)
+        argv = ["random", "--n", "15", "--r", "3", "--p-max", "4", "--trials", "2"]
+        assert main([*argv, "--methods", methods, "--out", str(tmp_path)]) == 4
+        assert case in capsys.readouterr().err
 
     def test_cv_p_max_above_the_valid_locations_exits_2(self, tmp_path, capsys):
         mask = np.ones(10, dtype=bool)
