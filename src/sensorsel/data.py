@@ -38,7 +38,9 @@ import copy
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,13 +52,14 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQQI4x")
 
 # pod_truncate's solver rule.  With OpenBLAS on one thread of a 2-vCPU Xeon
-# VM, ARPACK ran at 0.19x LAPACK's speed at 60 x 24 (r=3) and 0.27x at
-# 400 x 30 (r=5), but 2.1x at 500 x 100 (r=5), 5.5x at 1000 x 416 (r=10)
-# and 6.2x at 5000 x 800 (r=20).  Just above the rule it can still lose
-# about a millisecond for r <= 5 (0.34x at 300 x 36, r=4); from r = 10 on
-# it is at least as fast from the rule's edge.
-_ARPACK_MIN_SIZE_PER_RANK = 4  # ARPACK needs min(n, m) >= this * (2r + 1)
-_ARPACK_MIN_RATIO = 1e-8  # ARPACK's result is kept only if sigma_r > this * sigma_1
+# VM, on matrices whose column scales fall from 1 to 1e-2, the Lanczos route
+# (normal matrix formed per call, block step and Rayleigh-Ritz included) ran
+# at 0.23x LAPACK's speed at 60 x 24 (r=3) and 0.56-0.61x at 400 x 30 (r=5),
+# but 2.5-3.0x at 500 x 100 (r=5), 4.7-6.3x at 1000 x 416 (r=10) and 6.2x at
+# 5000 x 800 (r=20).  At the rule's edge it can still lose about 0.2 ms for
+# small r (0.68x at 300 x 36, r=4).
+_ARPACK_MIN_SIZE_PER_RANK = 4  # Lanczos needs min(n, m) >= this * (2r + 1)
+_ARPACK_MIN_RATIO = 1e-6  # the Lanczos result is kept only if sigma_r > this * sigma_1
 
 
 class SnapshotFormat(Enum):
@@ -100,12 +103,27 @@ class SnapshotData:
 
     def columns(self, cols: np.ndarray) -> SnapshotData:
         """The snapshots at the 0-based columns ``cols``, with this set's mask
-        and grid; columns of validated snapshots are not checked again."""
+        and grid; columns of validated snapshots are not checked again.  Its
+        :attr:`gram` is read from this set's, so the folds of one file share one."""
         sub = copy.copy(self)
         x = self.X[:, cols]
         x.setflags(write=False)
         object.__setattr__(sub, "X", x)
+        sub.__dict__.pop("gram", None)  # copied with the rest of this set's attributes
+        object.__setattr__(sub, "_gram_source", (self, cols))
         return sub
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``XᵀX`` (m x m), formed on first use; a :meth:`columns` view slices its parent's."""
+        source = self.__dict__.get("_gram_source")
+        if source is None:
+            gram = self.X.T @ self.X
+        else:
+            parent, cols = source
+            gram = parent.gram[np.ix_(cols, cols)]
+        gram.setflags(write=False)
+        return gram
 
     @property
     def n(self) -> int:
@@ -300,17 +318,24 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
 
     Only the r leading singular triplets are computed when the matrix is
     large enough for that to pay: if ``min(n, m) >= 4 * (2r + 1)``,
-    ARPACK's Lanczos iteration (``scipy.sparse.linalg.svds``) runs on
-    ``XᵀX`` or ``XXᵀ``, whichever is smaller, from a fixed PCG64-seeded
-    start vector, so reruns are bit-identical.  Below that size the full
-    LAPACK SVD (``np.linalg.svd``) is faster and is used instead.  It is
-    also the fallback when ARPACK fails (``ArpackError``, no convergence
-    included) or when the spectrum is too steep for the normal operator,
-    ``σ_r <= 1e-8 σ_1``: there ``σ_r²`` is below the rounding of
-    ``σ_1²``, and ARPACK's trailing modes can lose accuracy.  Where
-    ARPACK's result is kept it equals the full SVD's at rounding level,
-    not bit for bit: each ``σ_j`` and each mode scaled by ``σ_j`` within
-    about ``1e-12 σ_1``.
+    ARPACK's Lanczos iteration (``scipy.sparse.linalg.eigsh``) finds the r
+    leading eigenvectors V of the explicit normal matrix, ``XᵀX`` or
+    ``XXᵀ``, whichever is smaller, from a fixed PCG64-seeded start vector,
+    so reruns are bit-identical.  A tall set's ``XᵀX`` is
+    :attr:`SnapshotData.gram`, so the folds of one file share one.  The
+    explicit normal matrix loses accuracy in the trailing modes, so one
+    block step on X itself follows (``V = qr(Xᵀ(X V))``, leading vector
+    first), then the Rayleigh-Ritz step ``svd(X V)``.  Below that size the
+    full LAPACK SVD (``np.linalg.svd``) is faster and is used instead.  It
+    is also the fallback when ARPACK fails (``ArpackError``, no convergence
+    included) or when the spectrum is steep, ``σ_r <= 1e-6 σ_1``, where the
+    trailing modes drift towards the ``1e-12 σ_1`` bound (about 3e-12 σ_1
+    was seen at ``σ_1/σ_r = 1e7``).  Where the Lanczos result is kept it
+    equals the full SVD's at rounding level, not bit for bit: each ``σ_j``
+    and each mode scaled by ``σ_j`` within ``1e-12 σ_1``.  Compared with
+    the ``svds`` route this replaced, ``cv`` float columns moved by at most
+    7.4e-12 relative on 5000 x 1000 masked files and indices and locations
+    did not change.
     """
     n, m = data.n, data.m
     if r < 1 or r > min(n, m):
@@ -318,7 +343,8 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
     x = data.X
     if subtract_mean:
         x = x - x.mean(axis=1, keepdims=True)
-    u, s, vt = _leading_svd(x, r)
+    gram = (lambda: data.gram) if n >= m and not subtract_mean else None
+    u, s, vt = _leading_svd(x, r, gram)
     for j in range(r):
         k = int(np.argmax(np.abs(u[:, j])))
         if u[k, j] < 0.0:
@@ -327,20 +353,29 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
     return PodModel(r=r, modes=u, singular_values=s, temporal=vt.T)
 
 
-def _leading_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r leading singular triplets of x in nonincreasing order (see pod_truncate)."""
+def _leading_svd(
+    x: np.ndarray, r: int, gram: Callable[[], np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r leading singular triplets of x in nonincreasing order (see
+    pod_truncate); ``gram`` returns ``xᵀx`` when x is tall, if it is known."""
     if min(x.shape) >= _ARPACK_MIN_SIZE_PER_RANK * (2 * r + 1):
         # loaded here, not with the package: only large snapshot matrices need it
         import scipy.sparse.linalg
 
-        v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(min(x.shape))
+        tall = x.shape[0] >= x.shape[1]
+        a = x if tall else x.T
+        normal = gram() if gram is not None else a.T @ a
+        v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(a.shape[1])
         try:
-            u, s, vt = scipy.sparse.linalg.svds(x, k=r, solver="arpack", v0=v0)
+            _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
         except scipy.sparse.linalg.ArpackError:
             pass
         else:
-            if s[0] > _ARPACK_MIN_RATIO * s[-1]:
-                return u[:, ::-1], s[::-1], vt[::-1, :]
+            # one block step on a itself, leading column first, then Rayleigh-Ritz
+            v, _ = np.linalg.qr(a.T @ (a @ v[:, ::-1]))
+            w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
+            if s[-1] > _ARPACK_MIN_RATIO * s[0]:
+                return (w, s, zt @ v.T) if tall else (v @ zt.T, s, w.T)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     return u[:, :r], s[:r], vt[:r, :]
 

@@ -17,6 +17,7 @@ the expectation as given and stays red rather than weakening the check.
 import csv
 import math
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from sensorsel.cli import (
     run_random,
     run_submod_report,
 )
+from sensorsel.selectors import greedy_steps
 
 
 def _criterion(num: int, label: str, ok: bool) -> None:
@@ -206,16 +208,19 @@ P_SWEEP = (5, 10, 15, 20)
 def random_system_sweep():
     """Means over 200 trials at n=500, r=10 for p in {5, 10, 15, 20}."""
     n, r, trials = 500, 10, 200
-    selectors = {"dg": ss.select_dg, "ag": ss.select_ag, "eg": ss.select_eg}
-    sums = {(m, p): np.zeros(4) for m in selectors for p in P_SWEEP}
+    methods = {"dg": Method.DG, "ag": Method.AG, "eg": Method.EG}
+    sums = {(m, p): np.zeros(4) for m in methods for p in P_SWEEP}
     eg_steps: list[tuple[float, ...]] = []
     t0 = time.perf_counter()
     for trial in range(trials):
         cand = ss.gen_random_system(n, r, derive_seed(206, trial, 0))
         z = ss.gen_latent(r, 1, derive_seed(206, trial, 1))
-        for name, selector in selectors.items():
-            for p in P_SWEEP:
-                result = selector(cand, p)
+        for name, method in methods.items():
+            # one stepwise run serves every p: its p-th result is select_<name>(cand, p)
+            steps = islice(greedy_steps(cand, method), max(P_SWEEP))
+            for p, result in enumerate(steps, start=1):
+                if p not in P_SWEEP:
+                    continue
                 s = ss.build_measurement(cand, result.indices)
                 info = ss.fisher_info(s)
                 z_hat = ss.estimate(s, s.measurement @ z)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import sensorsel
 
@@ -457,6 +458,81 @@ class TestBatchEvaluation:
                 cells = [repr(rec.det_index), repr(rec.trace_inv_index)]
                 cells += [repr(rec.min_eig_index), repr(rec.recon_error)]
                 assert cells == reference_cells(cand, rec.indices, z_true, y)
+
+
+class TestCvNormalMatrix:
+    """A cv run's folds take their Lanczos normal matrix from one XᵀX of the file."""
+
+    R, K, P_VALUES = 5, 4, list(range(1, 9))
+    METHODS = [Method.DG, Method.AG, Method.EG, Method.RANDOM]
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Snapshot sets whose ``gram`` is computed, and normal matrices passed to eigsh."""
+        grams, normals = [], []
+        gram_func, eigsh = SnapshotData.gram.func, scipy.sparse.linalg.eigsh
+
+        def gram(self):
+            grams.append(self)
+            return gram_func(self)
+
+        def counting_eigsh(a, *args, **kwargs):
+            normals.append(np.array(a))
+            assert kwargs["v0"].shape == a.shape[:1]  # else ARPACK reads past the start vector
+            return eigsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(SnapshotData.gram, "func", gram)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+        return grams, normals
+
+    def masked_file(self, tmp_path, n, m):
+        mask = np.random.default_rng(7).random(n) >= 0.1
+        path, _ = make_snapshot_file(tmp_path, n=n, m=m, rank=8, noise=0.05, seed=4, mask=mask)
+        return load_snapshots(path, SnapshotFormat.RAW_F64)
+
+    def fold_records(self, snapshots):
+        plan = kfold(snapshots.m, self.K)
+        return [
+            evaluate_fold(
+                snapshots, plan.train_columns(fold), plan.test_columns(fold),
+                self.R, self.P_VALUES, self.METHODS, fold, 3,
+            )
+            for fold in range(1, self.K + 1)
+        ]
+
+    def test_tall_folds_share_one_gram_and_match_their_own(self, tmp_path, spies, monkeypatch):
+        grams, normals = spies
+        snapshots = self.masked_file(tmp_path, n=400, m=120)
+        shared = self.fold_records(snapshots)
+        assert sum(g is snapshots for g in grams) == 1  # XᵀX of the file, formed once
+        assert len(grams) == 1 + self.K  # and one slice of it per fold
+        plan = kfold(snapshots.m, self.K)
+        for fold, normal in enumerate(normals, start=1):
+            train = plan.train_columns(fold)
+            np.testing.assert_array_equal(normal, snapshots.gram[np.ix_(train, train)])
+
+        def own_gram_pod(view, r):  # each fold forms the Gram of its training columns
+            return pod_truncate(SnapshotData(view.X, mask=view.mask), r)
+
+        monkeypatch.setattr(cli.data_mod, "pod_truncate", own_gram_pod)
+        own = self.fold_records(snapshots)
+        for fold_shared, fold_own in zip(shared, own):
+            assert len(fold_shared) == len(fold_own) == len(self.METHODS) * len(self.P_VALUES)
+            for a, b in zip(fold_shared, fold_own):
+                assert (a.method, a.p, a.indices, a.locations) == (b.method, b.p, b.indices, b.locations)
+                for name in ("det_index", "trace_inv_index", "min_eig_index", "recon_error"):
+                    assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
+
+    def test_wide_folds_form_their_own_normal_matrix(self, tmp_path, spies):
+        grams, normals = spies
+        snapshots = self.masked_file(tmp_path, n=60, m=400)
+        self.fold_records(snapshots)
+        assert grams == []
+        assert [a.shape for a in normals] == [(60, 60)] * self.K
+        plan = kfold(snapshots.m, self.K)
+        for fold, normal in enumerate(normals, start=1):
+            x = snapshots.X[:, plan.train_columns(fold)]
+            np.testing.assert_allclose(normal, x @ x.T, rtol=1e-13, atol=0)
 
 
 def reference_summary_rows(records):

@@ -329,30 +329,60 @@ def assert_same_pod(pod, x, r):
 
 @pytest.fixture
 def arpack_calls(monkeypatch):
-    """Shapes passed to ``scipy.sparse.linalg.svds`` while the test runs."""
+    """Shapes of the normal matrices passed to ``scipy.sparse.linalg.eigsh`` while the test runs."""
     calls = []
-    svds = scipy.sparse.linalg.svds
+    eigsh = scipy.sparse.linalg.eigsh
 
-    def counting(x, *args, **kwargs):
-        calls.append(x.shape)
-        return svds(x, *args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", counting)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
     return calls
 
 
+@pytest.fixture
+def full_svd_calls(monkeypatch):
+    """Shapes passed to ``np.linalg.svd`` while the test runs: the full LAPACK SVD
+    of an n x m snapshot matrix shows up as (n, m), the Rayleigh-Ritz step as (n, r)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def normal_shape(shape):
+    return (min(shape),) * 2
+
+
+def assert_close_to_lapack(pod, x, r):
+    """Each sigma_j, and each mode and temporal vector scaled by sigma_j, within 1e-12 sigma_1."""
+    u, s, v = lapack_pod(x, r)
+    tol = 1e-12 * s[0]
+    np.testing.assert_allclose(pod.singular_values, s, rtol=0, atol=tol)
+    np.testing.assert_allclose(pod.modes * pod.singular_values, u * s, rtol=0, atol=tol)
+    np.testing.assert_allclose(pod.temporal * pod.singular_values, v * s, rtol=0, atol=tol)
+
+
 class TestPodArpack:
-    """pod_truncate on matrices large enough for ARPACK: min(n, m) >= 4 (2r + 1)."""
+    """pod_truncate on matrices large enough for Lanczos: min(n, m) >= 4 (2r + 1)."""
 
     @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
     def test_matches_lapack_on_a_steep_spectrum(self, arpack_calls, shape):
         # At sigma_1 / sigma_r = 2e6 the r-th mode itself is only determined to
         # about 1e-11 (LAPACK's differs from the exact factors by that much), so
         # modes are compared weighted by their singular value, on sigma_1's scale.
+        # The Lanczos solve runs, and its result gives way to LAPACK's: 2e6 is
+        # past the ratio rule (sigma_r <= 1e-6 sigma_1).
         r = 4
         x = steep_snapshots(*shape, r, ratio=2e6)
         pod = pod_truncate(SnapshotData(x), r)
-        assert arpack_calls == [shape]
+        assert arpack_calls == [normal_shape(shape)]
         u, s, v = lapack_pod(x, r)
         assert s[0] / s[-1] >= 1e6
         tol = 1e-12 * s[0]
@@ -363,7 +393,7 @@ class TestPodArpack:
     def test_too_steep_a_spectrum_falls_back_to_lapack(self, arpack_calls):
         x = steep_snapshots(300, 120, 4, ratio=1e13)
         pod = pod_truncate(SnapshotData(x), 4)
-        assert arpack_calls == [x.shape]
+        assert arpack_calls == [normal_shape(x.shape)]
         assert_same_pod(pod, x, 4)
 
     @pytest.mark.parametrize(
@@ -378,7 +408,7 @@ class TestPodArpack:
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         x = steep_snapshots(300, 120, 4, ratio=1e3)
         assert_same_pod(pod_truncate(SnapshotData(x), 4), x, 4)
 
@@ -397,12 +427,12 @@ class TestPodArpack:
             np.testing.assert_allclose(pod.singular_values, s, rtol=1e-12)
             np.testing.assert_allclose(pod.modes, u, rtol=0, atol=1e-12)
             np.testing.assert_allclose(pod.temporal, v, rtol=0, atol=1e-12)
-        assert arpack_calls == [shape, shape]
+        assert arpack_calls == [normal_shape(shape)] * 2
 
     def test_reruns_are_bit_identical(self, arpack_calls):
         x = steep_snapshots(36, 300, 4, ratio=1e3)  # min(n, m) = 4 (2r + 1): the rule's edge
         first, second = (pod_truncate(SnapshotData(x), 4) for _ in range(2))
-        assert arpack_calls == [x.shape, x.shape]
+        assert arpack_calls == [normal_shape(x.shape)] * 2
         for name in ("modes", "singular_values", "temporal"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
@@ -412,6 +442,27 @@ class TestPodArpack:
         pod = pod_truncate(SnapshotData(x), r)
         assert arpack_calls == []
         assert_same_pod(pod, x, r)
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    @pytest.mark.parametrize("r", [2, 4, 8, 12])
+    @pytest.mark.parametrize("ratio", [1e2, 1e4, 1e5, 5e5])
+    def test_accuracy_where_the_lanczos_result_is_kept(
+        self, arpack_calls, full_svd_calls, shape, r, ratio
+    ):
+        # ratio 5e5 is just inside the rule: the steepest spectrum whose result is kept
+        assert min(shape) >= 4 * (2 * r + 1)
+        x = steep_snapshots(*shape, r, ratio=ratio)
+        pod = pod_truncate(SnapshotData(x), r)
+        assert arpack_calls == [normal_shape(shape)]
+        assert shape not in full_svd_calls
+        assert_close_to_lapack(pod, x, r)
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    def test_sigma_ratio_of_1e7_falls_back_to_lapack(self, arpack_calls, shape):
+        x = steep_snapshots(*shape, 4, ratio=1e7)
+        pod = pod_truncate(SnapshotData(x), 4)
+        assert arpack_calls == [normal_shape(shape)]
+        assert_same_pod(pod, x, 4)
 
 
 class TestKfold:
