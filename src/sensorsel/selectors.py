@@ -11,8 +11,11 @@ that state.  For the first r picks they skip the rows in the span of the
 rows already picked and raise :class:`NoAdmissibleCandidateError`,
 naming the step, when no other row is left or no score is finite.  The
 rule is relative to each row's own norm: a row tiny next to the others
-passes it and can make the run raise :class:`SingularInformationError`
-at a step that depends on the method.
+passes it and can leave the Gram of the first r picks singular.  Each
+greedy selector fails alike on such picks: it raises
+:class:`SingularInformationError` at step r + 1, the first that inverts
+or eigensolves ``C^T C``, and the A-greedy ``per_step_objective`` of its
+selection for p = r raises it when read.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
 from .fisher import (
     CandidateMatrix,
     FisherInfo,
-    SensorSet,
     _eigh,
     _eigvalsh,
     _least_eig,
@@ -90,21 +92,46 @@ class Criterion(Enum):
     E = "e"
 
 
+class _Trail:
+    """The method's index of each prefix of one greedy run's picks, each
+    computed on first read and kept for later reads."""
+
+    def __init__(self, cand: CandidateMatrix, index: Callable[[FisherInfo], float]):
+        self.cand = cand
+        self.index = index
+        self.values: list[float] = []
+
+    def read(self, indices: tuple[int, ...]) -> tuple[float, ...]:
+        """The values for the prefixes of ``indices``, a selection of this run."""
+        for k in range(len(self.values) + 1, len(indices) + 1):
+            self.values.append(self.index(fisher_info(build_measurement(self.cand, indices[:k]))))
+        return tuple(self.values[: len(indices)])
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one selection run.
 
     ``per_step_objective`` holds the method's own objective evaluated on
     the selected set after each step (NaN for methods without a stepwise
-    objective).  ``wall_time`` is the selection time in seconds; for a
-    greedy method, the cumulative time of the first p picks of one
-    stepwise run (:func:`greedy_steps`).
+    objective).  For a greedy method it is computed when first read, from
+    the picks, by a trail that the results of one stepwise run
+    (:func:`greedy_steps`) share, so reading result p after result p - 1
+    computes one value.  ``wall_time`` is the selection time in seconds;
+    for a greedy method, the cumulative time of the first p picks of one
+    stepwise run, which leaves out the objective.
     """
 
     method: Method
     indices: tuple[int, ...]
-    per_step_objective: tuple[float, ...]
+    _objective: tuple[float, ...] | _Trail
     wall_time: float
+
+    @property
+    def per_step_objective(self) -> tuple[float, ...]:
+        if isinstance(self._objective, _Trail):
+            return self._objective.read(self.indices)
+        return self._objective
 
 
 def _check_p(n: int, p: int) -> None:
@@ -191,14 +218,15 @@ def _greedy(
     the result after every pick, up to all n rows.
 
     ``score`` rates every candidate against the current state (NaN marks
-    one it skips); ``index`` of the selected set's Fisher information is
-    recorded after each step.  ``wall_time`` counts only the time spent
-    in this generator, not the time the caller holds it suspended.
+    one it skips); ``index`` of each selected prefix's Fisher information
+    is the results' ``per_step_objective``, computed when read.
+    ``wall_time`` counts only the time spent in this generator, not the
+    time the caller holds it suspended.
     """
     u = cand.rows
     elapsed, t0 = 0.0, time.perf_counter()
     state = _Factor(u)
-    objective: list[float] = []
+    trail = _Trail(cand, index)
     for k in range(cand.n):
         with np.errstate(all="ignore"):  # scores may overflow; _argbest rejects a non-finite best
             values = score(state)
@@ -212,9 +240,8 @@ def _greedy(
             raise NoAdmissibleCandidateError(f"step {k + 1}: {why}") from None
         state.add(i)
         indices = tuple(j + 1 for j in state.selected)
-        objective.append(index(fisher_info(SensorSet(indices, u[state.selected]))))
         elapsed += time.perf_counter() - t0
-        yield SelectionResult(method, indices, tuple(objective), elapsed)
+        yield SelectionResult(method, indices, trail, elapsed)
         t0 = time.perf_counter()
 
 

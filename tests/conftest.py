@@ -15,6 +15,21 @@ def gaussian_candidates(n: int, r: int, seed: int) -> CandidateMatrix:
     return CandidateMatrix(np.random.default_rng(seed).standard_normal((n, r)))
 
 
+def tiny_row_candidates() -> CandidateMatrix:
+    """4 x 3 rows whose row 3 is tiny next to the others but adds its own
+    direction, so it passes the greedy skip rule; rows 1 and 2 repeat."""
+    return CandidateMatrix(
+        np.array(
+            [
+                [0.30, -0.53, -0.30],
+                [0.30, -0.53, -0.30],
+                [-2.7e-7, -8.6e-8, -4.0e-8],
+                [-0.29, -2.35, -0.67],
+            ]
+        )
+    )
+
+
 def char_cubic_min_root(m: np.ndarray) -> float:
     """Smallest root of the characteristic polynomial of a symmetric 3x3 matrix.
 

@@ -48,6 +48,8 @@ from sensorsel.cli import (
     run_submod_report,
 )
 
+from conftest import tiny_row_candidates
+
 
 #: Exit code and stderr prefix of each error category.
 CATEGORY_EXIT = {
@@ -892,6 +894,22 @@ class TestMainExitCodes:
         argv = ["random", "--n", "15", "--r", "3", "--p-max", "4", "--trials", "2"]
         assert main([*argv, "--methods", methods, "--out", str(tmp_path)]) == 4
         assert case in capsys.readouterr().err
+
+    def test_a_tiny_row_fails_every_greedy_method_past_r(self, tmp_path, monkeypatch, capsys):
+        """The tiny-row rows: every greedy method selects (4, 1, 3), whose Gram
+        is singular, and fails at step 4; ag's p=3 record fails in evaluation."""
+        monkeypatch.setattr(sensorsel.data, "gen_random_system", lambda n, r, seed: tiny_row_candidates())
+        argv = ["random", "--n", "4", "--r", "3", "--p-max", "4", "--methods", "ag"]
+        assert main([*argv, "--out", str(tmp_path)]) == 4
+        assert "method=ag p=3 trial=0: Gram matrix is singular" in capsys.readouterr().err
+        path = tmp_path / "tiny.csv"
+        save_snapshots(SnapshotData(tiny_row_candidates().rows), path, SnapshotFormat.CSV)
+        for method in ("dg", "ag", "eg"):
+            argv = ["select", "--data", str(path), "--format", "csv", "--method", method]
+            assert main([*argv, "--p", "3"]) == 0
+            assert capsys.readouterr().out == "4 1 3\n"
+            assert main([*argv, "--p", "4"]) == 4
+            assert "Gram matrix is singular" in capsys.readouterr().err
 
     def test_cv_p_max_above_the_valid_locations_exits_2(self, tmp_path, capsys):
         mask = np.ones(10, dtype=bool)

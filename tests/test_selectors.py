@@ -32,7 +32,7 @@ from sensorsel import selectors
 from sensorsel.fisher import _eigvalsh
 from sensorsel.selectors import _argbest, _best_subset, _greedy, greedy_steps
 
-from conftest import gaussian_candidates
+from conftest import gaussian_candidates, tiny_row_candidates
 
 GREEDY = [select_dg, select_ag, select_eg]
 
@@ -533,6 +533,43 @@ class TestSharedProperties:
             assert prefix.per_step_objective == direct.per_step_objective
         assert p == cand.n
 
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG, Method.EG])
+    def test_steps_compute_no_index_until_the_objective_is_read(self, monkeypatch, method):
+        calls = {}
+        for name in ("fisher_info", "det_index", "trace_inv_index", "min_eig_index"):
+
+            def spy(arg, name=name, real=getattr(selectors, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return real(arg)
+
+            monkeypatch.setattr(selectors, name, spy)
+        cand = gaussian_candidates(12, 3, seed=55)  # p runs past r: both regimes
+        results = list(greedy_steps(cand, method))
+        assert len(results) == 12
+        assert calls == {}
+        index = {Method.DG: "det_index", Method.AG: "trace_inv_index", Method.EG: "min_eig_index"}
+        results[4].per_step_objective
+        assert calls == {"fisher_info": 5, index[method]: 5}
+        results[-1].per_step_objective  # the first five are reused
+        assert calls == {"fisher_info": 12, index[method]: 12}
+
+    @pytest.mark.parametrize("seed", [56, 57, 58, 59])
+    @pytest.mark.parametrize(
+        "method, index",
+        [(Method.DG, det_index), (Method.AG, trace_inv_index), (Method.EG, min_eig_index)],
+    )
+    def test_objective_is_the_index_of_each_prefix_bit_for_bit(self, method, index, seed):
+        cand = gaussian_candidates(30, 4, seed)
+        results = list(islice(greedy_steps(cand, method), 12))
+        for res in reversed(results):  # the last read first, so every other reuses its values
+            steps = res.per_step_objective
+            assert len(steps) == len(res.indices)
+            for k, value in enumerate(steps):
+                assert value == index(fisher_info(build_measurement(cand, res.indices[: k + 1])))
+        for res, longer in zip(results, results[1:]):
+            assert longer.indices[:-1] == res.indices
+            assert longer.per_step_objective[:-1] == res.per_step_objective
+
     def test_greedy_steps_refuses_other_methods(self):
         with pytest.raises(ValueError, match="random is not a greedy method"):
             greedy_steps(gaussian_candidates(5, 2, seed=0), Method.RANDOM)
@@ -593,18 +630,15 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("selector", GREEDY)
     def test_a_tiny_row_passes_the_skip_rule_and_the_gram_turns_singular(self, selector):
-        # row 3 is tiny next to the others but adds its own direction; ag
-        # fails already at p = 3, while dg and eg pick (4, 1, 3) first
-        cand = CandidateMatrix(
-            np.array(
-                [
-                    [0.30, -0.53, -0.30],
-                    [0.30, -0.53, -0.30],
-                    [-2.7e-7, -8.6e-8, -4.0e-8],
-                    [-0.29, -2.35, -0.67],
-                ]
-            )
-        )
+        # row 3 is tiny next to the others but adds its own direction; every
+        # method picks (4, 1, 3), whose Gram is singular, and fails at step 4,
+        # the first past r; ag's A-index of (4, 1, 3) fails when read
+        cand = tiny_row_candidates()
+        res = selector(cand, 3)
+        assert res.indices == (4, 1, 3)
+        if selector is select_ag:
+            with pytest.raises(SingularInformationError):
+                res.per_step_objective
         with pytest.raises(SingularInformationError):
             selector(cand, 4)
 
