@@ -178,14 +178,14 @@ def _evaluate(
 
     Each record forms its regime Gram once.  The Grams of one shape (one
     group per p <= r, one for all p > r) are stacked for one ``det`` and
-    one ``eigvalsh``, which give each matrix the bits of a call on it
-    alone; the Cholesky solve of ``fisher.estimate`` stays per record.
+    one ``fisher._criteria``, which give each matrix the bits of a call on
+    it alone; the Cholesky solve of ``fisher.estimate`` stays per record.
 
     The failure raised is the one a run that evaluates each selection as
     it is made would hit first: selecting stops at the first failure, the
     selections before it are evaluated in order and the first that fails
     is raised, or else the selection failure.  A group whose stacked
-    eigensolve fails is solved one matrix at a time to find that record.
+    eigensolve fails has its records solved alone, in run order.
     """
     selected: list[_Selected] = []
     failure = None
@@ -197,7 +197,6 @@ def _evaluate(
     grams = [fisher._gram(item.measurement) for item in selected]
     det, trace_inv, min_eig = np.empty((3, len(grams)))
     eigvals: dict[int, np.ndarray] = {}
-    failed: dict[int, EigenSolverError] = {}
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, gram in enumerate(grams):
         groups.setdefault(gram.shape, []).append(k)
@@ -205,23 +204,15 @@ def _evaluate(
         stack = np.stack([grams[k] for k in idx])
         det[idx] = fisher._det(stack)
         try:
-            w = fisher._eigvalsh(stack)
+            w, trace_inv[idx], min_eig[idx] = fisher._criteria(stack)
         except EigenSolverError:
-            w = np.full(stack.shape[:-1], np.nan)
-            for j, k in enumerate(idx):
-                try:
-                    w[j] = fisher._eigvalsh(grams[k])
-                except EigenSolverError as exc:
-                    failed[k] = exc
-        ok = ~fisher._singular(w)
-        trace_inv[np.asarray(idx)[ok]] = fisher._trace_inv(w[ok])
-        min_eig[idx] = fisher._least_eig(w)
+            continue  # its records are solved alone, in run order, below
         eigvals.update(zip(idx, w))
     records = []
     for k, (sel, c, locations) in enumerate(selected):
         with _naming_case(sel.method, len(sel.indices), unit, number):
-            if k in failed:
-                raise failed[k]
+            if k not in eigvals:
+                eigvals[k], trace_inv[k], min_eig[k] = fisher._criteria(grams[k])
             fisher._require_nonsingular(eigvals[k])
             z_est = fisher._pinv_apply(c, grams[k], observe(selected[k]))
             recon_error = fisher.reconstruction_error(z_true, z_est)
@@ -446,15 +437,18 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
 
 def run_select(args: argparse.Namespace) -> int:
     """One-shot selection among a matrix file's valid rows; prints their 1-based row numbers."""
-    if args.p < 1 or args.seed < 0:
-        raise ConfigError(f"need p >= 1 and seed >= 0, got p={args.p} seed={args.seed}")
+    method = Method(args.method)
+    for flag, user in (("criterion", Method.BRUTE), ("seed", Method.RANDOM)):
+        if getattr(args, flag) is not None and method is not user:
+            raise ConfigError(f"select --method {method.value} takes no --{flag}")
+    seed, criterion = args.seed or 0, Criterion(args.criterion or "d")
+    if args.p < 1 or seed < 0:
+        raise ConfigError(f"need p >= 1 and seed >= 0, got p={args.p} seed={seed}")
     snapshots = data_mod.load_snapshots(args.data, data_mod.SnapshotFormat(args.format))
     valid = np.ones(snapshots.n, dtype=bool) if snapshots.mask is None else snapshots.mask
     locations = np.flatnonzero(valid) + 1
     cand = fisher.CandidateMatrix(snapshots.X[valid])
-    result = run_selector(
-        cand, args.p, Method(args.method), seed=args.seed, criterion=Criterion(args.criterion)
-    )
+    result = run_selector(cand, args.p, method, seed=seed, criterion=criterion)
     print(" ".join(str(locations[i - 1]) for i in result.indices))
     return 0
 
@@ -550,8 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--format", choices=["csv", "raw"], default="csv")
     sel.add_argument("--method", default="dg", choices=[m.value for m in Method])
     sel.add_argument("--p", type=int, required=True)
-    sel.add_argument("--seed", type=int, default=0)
-    sel.add_argument("--criterion", choices=[c.value for c in Criterion], default="d")
+    sel.add_argument("--seed", type=int, help="random only")
+    sel.add_argument("--criterion", choices=[c.value for c in Criterion], help="brute only")
     return parser
 
 

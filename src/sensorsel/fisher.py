@@ -9,6 +9,10 @@ Every quantity switches between two regimes:
 
 * UNDER (``p <= r``): the information matrix is ``C C^T`` (p x p),
 * OVER  (``p > r``):  the information matrix is ``C^T C`` (r x r).
+
+The A and E values of every caller come from one kernel, :func:`_criteria`,
+the one place that computes the trace of the inverse (NaN where a Gram is
+singular) and clamps the least eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,15 +117,15 @@ class SensorSet:
 @dataclass(frozen=True)
 class FisherInfo:
     """The symmetric regime Gram matrix: ``C C^T`` when UNDER, ``C^T C`` when OVER,
-    which must not change once ``_eigvals`` is read (:func:`fisher_info` freezes it)."""
+    which must not change once ``_criteria`` is read (:func:`fisher_info` freezes it)."""
 
     regime: Regime
     matrix: np.ndarray
 
     @cached_property
-    def _eigvals(self) -> np.ndarray:
-        """Ascending eigenvalues of ``matrix``."""
-        return _eigvalsh(self.matrix)
+    def _criteria(self) -> _Criteria:
+        """The eigenvalues and A and E values of ``matrix``, solved once."""
+        return _criteria(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -174,23 +178,22 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _singular(w: np.ndarray) -> np.ndarray:
-    """Whether a Gram matrix fails the relative singularity test: its least
-    eigenvalue is at or below ``EPS_SINGULAR`` times its largest, so any
-    with a non-positive eigenvalue fails.  ``w`` holds the ascending
-    eigenvalues of one Gram matrix, or of one per row."""
-    return w.T[0] <= EPS_SINGULAR * w.T[-1]
+    """Whether a Gram fails the relative singularity test: its least eigenvalue
+    is at or below ``EPS_SINGULAR`` times its largest (so a non-positive one
+    fails).  ``w`` holds the ascending eigenvalues of one Gram, or of one per
+    row; for one, ``[()]`` reads NumPy scalars, cheaper than 0-d arrays."""
+    return w[..., 0][()] <= EPS_SINGULAR * w[..., -1][()]
 
 
-def _require_nonsingular(w: np.ndarray) -> np.ndarray:
-    """``w``, the ascending eigenvalues of a Gram matrix or one row per Gram
-    matrix, raising at the first one that :func:`_singular` flags."""
+def _require_nonsingular(w: np.ndarray) -> None:
+    """Raise ``SingularInformationError`` at the first Gram that :func:`_singular`
+    flags in ``w``, the ascending eigenvalues of one Gram, or of one per row."""
     bad = _singular(w)
     if bad.any() if bad.ndim else bad:
         w = w.reshape(-1, w.shape[-1])[np.argmax(bad)]
         raise SingularInformationError(
             f"Gram matrix is singular (min eig {w[0]:.3e}, max eig {w[-1]:.3e})"
         )
-    return w
 
 
 def _det(gram: np.ndarray) -> np.ndarray:
@@ -200,24 +203,31 @@ def _det(gram: np.ndarray) -> np.ndarray:
         return np.linalg.det(gram)
 
 
-def _trace_inv(w: np.ndarray) -> np.ndarray:
-    """``sum(1 / w)`` over the last axis: the trace of each inverse Gram."""
-    return np.sum(1.0 / w, axis=-1)
+class _Criteria(NamedTuple):
+    eigvals: np.ndarray
+    trace_inv: np.ndarray
+    min_eig: np.ndarray
 
 
-def _least_eig(w: np.ndarray) -> np.ndarray:
-    """Least of the ascending eigenvalues ``w`` (one Gram's, or one row per
-    Gram), clamped to zero where its magnitude is at most ``EPS_SINGULAR``
-    times that of the largest."""
-    lam = w.T[0]
-    return np.where(abs(lam) <= EPS_SINGULAR * abs(w.T[-1]), 0.0, lam)
+def _criteria(gram: np.ndarray) -> _Criteria:
+    """One eigensolve of a Gram (k, k), or of each in a stack (..., k, k): the
+    ascending eigenvalues ``w``; the trace of the inverse, ``sum(1 / w)``, NaN
+    where :func:`_singular`; and the least eigenvalue, zero where its magnitude
+    is at most ``EPS_SINGULAR`` times the largest's (both 0-d for one Gram)."""
+    w = _eigvalsh(gram)
+    finite = w.copy()
+    finite[_singular(w)] = np.nan  # so that no singular Gram divides by zero
+    lam, top = w[..., 0][()], w[..., -1][()]  # as in _singular
+    min_eig = w[..., 0].copy()
+    min_eig[abs(lam) <= EPS_SINGULAR * abs(top)] = 0.0
+    return _Criteria(w, np.add.reduce(1.0 / finite, axis=-1), min_eig)
 
 
 def _solve_gram(info: FisherInfo, rhs: np.ndarray) -> np.ndarray:
     """Solve ``info.matrix @ x = rhs`` by Cholesky, once the Gram matrix passes
     the singularity test, which leaves it safely positive definite; inverses
     are never formed explicitly."""
-    _require_nonsingular(info._eigvals)
+    _require_nonsingular(info._criteria.eigvals)
     return _cholesky_solve(info.matrix, rhs)
 
 
@@ -293,7 +303,8 @@ def trace_inv_index(f: FisherInfo) -> float:
         If the smallest eigenvalue is at or below ``EPS_SINGULAR`` times the
         largest.
     """
-    return float(_trace_inv(_require_nonsingular(f._eigvals)))
+    _require_nonsingular(f._criteria.eigvals)
+    return float(f._criteria.trace_inv)
 
 
 def min_eig_index(f: FisherInfo) -> float:
@@ -301,7 +312,7 @@ def min_eig_index(f: FisherInfo) -> float:
 
     Values within ``EPS_SINGULAR * ||matrix||`` of zero are clamped to zero.
     """
-    return float(_least_eig(f._eigvals))
+    return float(f._criteria.min_eig)
 
 
 def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
@@ -315,7 +326,7 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[0] != s.p:
         raise ValueError(f"y has leading dimension {y.shape[0]}, expected p={s.p}")
-    _require_nonsingular(s.info._eigvals)
+    _require_nonsingular(s.info._criteria.eigvals)
     return _pinv_apply(s.measurement, s.info.matrix, y)
 
 

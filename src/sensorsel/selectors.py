@@ -37,12 +37,10 @@ from .errors import (
 from .fisher import (
     CandidateMatrix,
     FisherInfo,
+    _criteria,
     _eigh,
     _eigvalsh,
-    _least_eig,
     _require_nonsingular,
-    _singular,
-    _trace_inv,
     build_measurement,
     det_index,
     fisher_info,
@@ -488,13 +486,8 @@ def select_bruteforce(
         if criterion is Criterion.D:
             sign, logdet = np.linalg.slogdet(gram)
             return np.where(sign > 0, logdet, -np.inf)
-        w = _eigvalsh(gram)
-        if criterion is Criterion.E:
-            return _least_eig(w)
-        values = np.full(len(w), np.nan)
-        ok = ~_singular(w)
-        values[ok] = _trace_inv(w[ok])
-        return values
+        crit = _criteria(gram)
+        return crit.min_eig if criterion is Criterion.E else crit.trace_inv
 
     t0 = time.perf_counter()
     try:

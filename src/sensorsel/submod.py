@@ -124,8 +124,9 @@ def _a_eps_value(c: np.ndarray, eps: float) -> np.ndarray:
     """``-tr[(C^T C + eps I)^-1] + r/eps`` of a measurement matrix, or of each
     in a stack, raising ``SingularInformationError`` at the first
     regularized Gram that is singular by the ``fisher`` test."""
-    w = fisher._require_nonsingular(fisher._eigvalsh(_regularized_gram(c, eps)))
-    return c.shape[-1] / eps - fisher._trace_inv(w)
+    crit = fisher._criteria(_regularized_gram(c, eps))
+    fisher._require_nonsingular(crit.eigvals)
+    return c.shape[-1] / eps - crit.trace_inv
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import sensorsel
 from sensorsel import (
     CandidateMatrix,
     ConfigError,
+    Criterion,
     DataError,
+    EigenSolverError,
     Method,
     NumericalError,
     SelectionResult,
@@ -461,6 +463,45 @@ class TestBatchEvaluation:
                 cells += [repr(rec.min_eig_index), repr(rec.recon_error)]
                 assert cells == reference_cells(cand, rec.indices, z_true, y)
 
+    def test_records_are_solved_alone_when_every_stacked_eigensolve_fails(self, tmp_path, monkeypatch):
+        plain = run_random(small_config(tmp_path, out_dir=str(tmp_path / "plain")))
+        eigvalsh = fisher._eigvalsh
+        stacks = []
+
+        def failing_on_stacks(m):
+            if m.ndim == 3:
+                stacks.append(m.shape)
+                raise EigenSolverError("Eigenvalues did not converge")
+            return eigvalsh(m)
+
+        monkeypatch.setattr(fisher, "_eigvalsh", failing_on_stacks)
+        alone = run_random(small_config(tmp_path, out_dir=str(tmp_path / "alone")))
+        assert stacks
+        for path_plain, path_alone in zip(plain, alone):
+            assert strip_wall_time(read_csv(path_alone)) == strip_wall_time(read_csv(path_plain))
+
+    def test_a_record_whose_own_eigensolve_fails_is_named(self, tmp_path, monkeypatch, capsys):
+        """Every stacked solve fails, and so does ag's p=3 Gram of trial 0 when
+        solved alone: the records before it evaluate, and the failure names it."""
+        cand = gen_random_system(15, 3, derive_seed(5, 0, 0))
+        picks = selectors.select_ag(cand, 3).indices
+        assert picks != selectors.select_dg(cand, 3).indices  # no earlier record shares its Gram
+        target = fisher._gram(cand.take(picks))
+        eigvalsh = fisher._eigvalsh
+        solved = []
+
+        def failing(m):
+            if m.ndim == 3 or np.array_equal(m, target):
+                raise EigenSolverError("Eigenvalues did not converge")
+            solved.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(fisher, "_eigvalsh", failing)
+        argv = ["random", "--n", "15", "--r", "3", "--p-min", "2", "--p-max", "4", "--trials", "2"]
+        assert main([*argv, "--seed", "5", "--methods", "dg,ag", "--out", str(tmp_path)]) == 4
+        assert "method=ag p=3 trial=0: Eigenvalues did not converge" in capsys.readouterr().err
+        assert solved == [(2, 2), (3, 3), (3, 3), (2, 2)]  # dg p=2..4 and ag p=2 of trial 0
+
 
 class TestCvNormalMatrix:
     """A cv run's folds take their Lanczos normal matrix from one XᵀX of the file."""
@@ -807,6 +848,26 @@ class TestMainExitCodes:
             pytest.param(
                 ["select", "--data", "cand.csv", "--p", "1", "--method", "dc"], None, id="select-dc"
             ),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "3", "--method", "dg", "--criterion", "e"],
+                None,
+                id="select-dg-criterion",
+            ),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "3", "--method", "dg", "--seed", "5"],
+                None,
+                id="select-dg-seed",
+            ),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "3", "--method", "random", "--criterion", "a"],
+                None,
+                id="select-random-criterion",
+            ),
+            pytest.param(
+                ["select", "--data", "cand.csv", "--p", "3", "--method", "brute", "--seed", "0"],
+                None,
+                id="select-brute-seed",
+            ),
             pytest.param(["submod", "--epsilon", "nan"], None, id="submod-epsilon-nan"),
             pytest.param(["submod", "--epsilon", "inf"], None, id="submod-epsilon-inf"),
             pytest.param([*SMALL_RANDOM, "--sigma", "nan"], None, id="random-sigma-nan"),
@@ -820,6 +881,21 @@ class TestMainExitCodes:
             argv = [*argv, "--config", "exp.cfg"]
         assert exit_code(argv) == 2
         assert not Path("out").exists()
+
+    def test_select_takes_criterion_with_brute_and_seed_with_random(self, tmp_path, capsys):
+        path = tmp_path / "cand.csv"
+        save_snapshots(SnapshotData(gen_random_system(10, 3, seed=4).rows), path, SnapshotFormat.CSV)
+        cand = CandidateMatrix(load_snapshots(path, SnapshotFormat.CSV).X)
+        cases = [
+            (["--method", "brute", "--criterion", "e"], Method.BRUTE, {"criterion": Criterion.E}),
+            (["--method", "brute"], Method.BRUTE, {"criterion": Criterion.D}),
+            (["--method", "random", "--seed", "5"], Method.RANDOM, {"seed": 5}),
+            (["--method", "random"], Method.RANDOM, {"seed": 0}),
+        ]
+        for flags, method, kwargs in cases:
+            assert main(["select", "--data", str(path), "--p", "4", *flags]) == 0
+            picks = cli.run_selector(cand, 4, method, **kwargs).indices
+            assert capsys.readouterr().out == " ".join(map(str, picks)) + "\n"
 
     @pytest.mark.parametrize("command", ["select", "cv"])
     def test_raw_file_read_as_csv_exit_3(self, tmp_path, capsys, command):

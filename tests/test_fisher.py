@@ -23,6 +23,7 @@ from sensorsel import (
     reconstruction_error,
     trace_inv_index,
 )
+from sensorsel import fisher
 from sensorsel.fisher import FisherInfo
 
 from conftest import gaussian_candidates
@@ -176,6 +177,57 @@ class TestMinEigIndex:
     def test_near_zero_clamped(self):
         lam = min_eig_index(FisherInfo(Regime.UNDER, np.array([[1.0, 1.0], [1.0, 1.0]])))
         assert lam == 0.0
+
+
+class TestCriteriaKernel:
+    """``fisher._criteria`` gives each Gram of a stack the values of the scalar indices."""
+
+    def infos(self):
+        """Three 4 x 3 OVER sets; the second's rows span only two directions."""
+        rows = gaussian_candidates(8, 3, seed=21).rows
+        a, b = rows[0], rows[1]
+        return [
+            info_for(rows, [1, 2, 3, 4]),
+            info_for([a, 2.0 * a, b, a + b]),
+            info_for(rows, [5, 6, 7, 8]),
+        ]
+
+    def test_stack_with_a_singular_member_matches_the_scalar_indices(self):
+        infos = self.infos()
+        crit = fisher._criteria(np.stack([info.matrix for info in infos]))
+        assert crit.eigvals.shape == (3, 3)
+        assert crit.trace_inv.shape == crit.min_eig.shape == (3,)
+        for j, info in enumerate(infos):
+            w = np.linalg.eigvalsh(info.matrix)
+            assert crit.eigvals[j].tobytes() == w.tobytes()
+            assert crit.min_eig[j] == min_eig_index(info)
+            if j == 1:
+                assert w[0] != 0.0 and crit.min_eig[j] == 0.0  # clamped
+                assert np.isnan(crit.trace_inv[j])
+                with pytest.raises(SingularInformationError):
+                    trace_inv_index(info)
+            else:
+                assert crit.trace_inv[j] == trace_inv_index(info) == np.sum(1.0 / w)
+                assert crit.min_eig[j] == w[0]
+
+    def test_stack_of_any_leading_shape(self):
+        stack = np.stack([info.matrix for info in self.infos()])
+        flat = fisher._criteria(stack)
+        nested = fisher._criteria(stack.reshape(3, 1, 3, 3))
+        for got, want in zip(nested, flat):
+            assert got.shape == want.shape[:1] + (1,) + want.shape[1:]
+            np.testing.assert_array_equal(got.reshape(want.shape), want)
+
+    def test_one_gram_gives_0d_fields_equal_to_its_row_of_a_stack(self):
+        infos = self.infos()
+        stacked = fisher._criteria(np.stack([info.matrix for info in infos]))
+        for j, info in enumerate(infos):
+            crit = fisher._criteria(info.matrix)
+            assert crit.eigvals.shape == (3,)
+            assert np.ndim(crit.trace_inv) == np.ndim(crit.min_eig) == 0
+            assert crit.eigvals.tobytes() == stacked.eigvals[j].tobytes()
+            assert crit.min_eig == stacked.min_eig[j]
+            assert np.isnan(crit.trace_inv) if j == 1 else crit.trace_inv == stacked.trace_inv[j]
 
 
 class TestEstimate:
