@@ -13,12 +13,12 @@ file, 4 ``NumericalError``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -126,12 +126,13 @@ class _Selected(NamedTuple):
 
 
 @contextmanager
-def _naming_case(method: Method, p: int, unit: str, number: int) -> Iterator[None]:
-    """Re-raise a numerical failure with the method, p and trial or fold it hit."""
+def _naming_case(case: str) -> Iterator[None]:
+    """Re-raise a numerical failure with the case it hit (``method=dg p=3
+    trial=0``, ``case=a_eps embedded``) in front of its message."""
     try:
         yield
     except NumericalError as exc:
-        raise type(exc)(f"method={method.value} p={p} {unit}={number}: {exc}") from exc
+        raise type(exc)(f"{case}: {exc}") from exc
 
 
 def _records_by_p(
@@ -155,7 +156,7 @@ def _records_by_p(
     steps = None if method is Method.RANDOM else greedy_steps(cand, method)
     prefixes: list[SelectionResult] = []
     for p in p_values:
-        with _naming_case(method, p, unit, number):
+        with _naming_case(f"method={method.value} p={p} {unit}={number}"):
             if steps is None:
                 sel = run_selector(cand, p, method, seed=derive_seed(*seed_keys, p))
             else:
@@ -210,7 +211,7 @@ def _evaluate(
         eigvals.update(zip(idx, w))
     records = []
     for k, (sel, c, locations) in enumerate(selected):
-        with _naming_case(sel.method, len(sel.indices), unit, number):
+        with _naming_case(f"method={sel.method.value} p={len(sel.indices)} {unit}={number}"):
             if k not in eigvals:
                 eigvals[k], trace_inv[k], min_eig[k] = fisher._criteria(grams[k])
             fisher._require_nonsingular(eigvals[k])
@@ -333,10 +334,19 @@ def _emit(
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write the bytes ``csv.writer`` would: ``str`` cells joined by commas,
+    lines ended by ``\\r\\n``.  A row must have one cell per column and no
+    cell may need quoting: each block's text must hold no quote, one comma
+    per cell boundary and one line break per line, or it is not written."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = chain([header], rows)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        while lines := [line % tuple(row) for row in islice(rows, 2**12)]:
+            text = "".join(lines)
+            counts = text.count(","), text.count("\n"), text.count("\r")
+            if counts != (len(lines) * (len(header) - 1), len(lines), len(lines)) or '"' in text:
+                raise ValueError(f"{path}: a CSV cell holds a comma, a quote or a line break")
+            fh.write(text)
 
 
 def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
@@ -383,7 +393,9 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sections: list[str] = []
-    witness_rows: list[dict] = []
+    witness_header = ["objective", "check", "S", "T", "i"]
+    cells = itemgetter(*witness_header[1:])
+    witness_rows: list[tuple] = []
 
     report = submod.counterexample_report()
     sections.append(report.to_text())
@@ -400,8 +412,9 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
             (f"a_eps random{j}", submod.SetObjective(submod.ObjectiveKind.A_EPS, rnd, eps))
         )
     for label, obj in cases:
-        rep_sub = submod.check_submodular(obj, max_set_size=5)
-        rep_mon = submod.check_monotone(obj, max_set_size=5)
+        with _naming_case(f"case={label}"):
+            rep_sub = submod.check_submodular(obj, max_set_size=5)
+            rep_mon = submod.check_monotone(obj, max_set_size=5)
         sections.append(rep_sub.to_text(label))
         sections.append(rep_mon.to_text(label))
         if label.startswith("e_raw"):
@@ -411,14 +424,14 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
                 else "unexpectedly structured"
             )
             sections.append(f"  e_raw verdict: {verdict}")
-        for row in rep_sub.witness_rows() + rep_mon.witness_rows():
-            row["objective"] = label
-            witness_rows.append(row)
+        for rep in (rep_sub, rep_mon):
+            witness_rows += ((label, *cells(row)) for row in rep.witness_rows())
 
     bound_rows = []
     for j in range(5):
         cand = data_mod.gen_random_system(12, 3, derive_seed(cfg.seed, 20, j))
-        res = submod.nemhauser_check(cand, p=3, epsilon=eps)
+        with _naming_case(f"bound instance={j}"):
+            res = submod.nemhauser_check(cand, p=3, epsilon=eps)
         bound_rows.append([j, repr(res.greedy_value), repr(res.opt_value), repr(res.ratio)])
         sections.append(
             f"greedy bound instance {j}: greedy={res.greedy_value!r} "
@@ -428,8 +441,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     text_path = out_dir / "submod_report.txt"
     text_path.write_text("\n\n".join(sections) + "\n")
     wit_path = out_dir / "submod_witnesses.csv"
-    header = ["objective", "check", "S", "T", "i"]
-    _write_csv(wit_path, header, map(itemgetter(*header), witness_rows))
+    _write_csv(wit_path, witness_header, witness_rows)
     bound_path = out_dir / "submod_nemhauser.csv"
     _write_csv(bound_path, ["instance", "greedy_value", "opt_value", "ratio"], bound_rows)
     return text_path, wit_path, bound_path

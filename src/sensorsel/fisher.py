@@ -157,8 +157,10 @@ def _sym(matrix: np.ndarray) -> np.ndarray:
 
 
 def _gram(c: np.ndarray) -> np.ndarray:
-    """Regime Gram matrix of a measurement ``c``: ``C C^T`` when p <= r, else ``C^T C``."""
-    return c @ c.T if c.shape[0] <= c.shape[1] else c.T @ c
+    """Regime Gram matrix of a measurement ``c`` (p, r), or of each in a stack:
+    ``C C^T`` when p <= r, else ``C^T C``."""
+    ct = np.swapaxes(c, -1, -2)
+    return c @ ct if c.shape[-2] <= c.shape[-1] else ct @ c
 
 
 def _eigvalsh(matrix: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ every subset, including the empty set, so that submodularity and
 monotonicity can be checked exhaustively on small instances, and the
 greedy-to-optimal ratio can be measured against brute force.  The
 checkers compare all nested pairs S < T at once on one table of subset
-values, so they take at most 14 candidates.  The epsilon-offset trace
-objective is monotone but not submodular (the checker finds
-diminishing-returns violations), so the Nemhauser bound
-``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
-ratio is an empirical check.
+values, so they take at most 14 candidates; the table scores the subsets
+of each size as one stack (:meth:`SetObjective.values`), bit for bit as
+one at a time.  The epsilon-offset trace objective is monotone but not
+submodular (the checker finds diminishing-returns violations), so the
+Nemhauser bound ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed
+for it and the ratio is an empirical check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateSensorError, InstanceTooLargeError
+from .errors import DuplicateSensorError, InstanceTooLargeError, NumericalError
 from . import fisher
 from .fisher import CandidateMatrix
 from .selectors import _best_subset, _check_p, select_ag
@@ -84,28 +85,35 @@ class SetObjective:
             object.__setattr__(self, "epsilon", float(eps))
 
     def evaluate(self, subset: Iterable[int]) -> float:
-        """Set-function value on ``subset`` (1-based indices, order ignored).
+        """Set-function value on ``subset`` (1-based indices, order ignored):
+        :meth:`values` on that one subset."""
+        idx = fisher._validated_indices(sorted(set(map(int, subset))), self.cand.n)
+        return float(self.values(np.array([idx], dtype=np.intp))[0])
 
-        A and D are the ``fisher`` indices of ``C^T C + eps I``, so A raises
-        ``SingularInformationError`` once eps is at rounding level.
+    def values(self, idx: np.ndarray) -> np.ndarray:
+        """Set-function values of a stack of subsets of one size k, given as
+        an (N, k) array of 1-based indices, one subset per row.
+
+        The empty set reads ``eps**r`` under D and 0 otherwise.  A and D
+        are the ``fisher`` indices of ``C^T C + eps I``, so A raises
+        ``SingularInformationError`` at the first of these matrices that is
+        singular, once eps is at rounding level.
         """
-        idx = sorted(set(int(i) for i in subset))
-        r = self.cand.r
-        if not idx:
-            if self.kind is ObjectiveKind.D_EPS:
-                return float(self.epsilon**r)
-            return 0.0
-        c = self.cand.take(idx)
+        if idx.shape[-1] == 0:
+            empty = self.epsilon**self.cand.r if self.kind is ObjectiveKind.D_EPS else 0.0
+            return np.full(len(idx), empty)
+        c = self.cand.rows[idx - 1]
         if self.kind is ObjectiveKind.MODULAR_NORM:
-            return float(np.einsum("ij,ij->", c, c))
+            return np.einsum("...ij,...ij->...", c, c)
         if self.kind is ObjectiveKind.A_EPS:
-            return float(_a_eps_value(c, self.epsilon))
+            crit = fisher._criteria(_regularized_gram(c, self.epsilon))
+            fisher._require_nonsingular(crit.eigvals)
+            return self.cand.r / self.epsilon - crit.trace_inv
         if self.kind is ObjectiveKind.D_EPS:
-            gram = _regularized_gram(c, self.epsilon)
-            return fisher.det_index(fisher.FisherInfo(fisher.Regime.OVER, gram))
+            return fisher._det(_regularized_gram(c, self.epsilon))
         if self.kind is ObjectiveKind.E_RAW:
-            return fisher.min_eig_index(fisher.fisher_info(fisher.SensorSet(tuple(idx), c)))
-        return float(fisher._eigvalsh(c @ c.T)[0])  # E_GRAM_ROW
+            return fisher._criteria(fisher._gram(c)).min_eig
+        return fisher._eigvalsh(c @ np.swapaxes(c, -1, -2))[..., 0]  # E_GRAM_ROW
 
     def marginal_gain(self, subset: Iterable[int], i: int) -> float:
         """``f(S + {i}) - f(S)``; raises if ``i`` already belongs to ``S``."""
@@ -118,15 +126,6 @@ class SetObjective:
 def _regularized_gram(c: np.ndarray, eps: float) -> np.ndarray:
     """``C^T C + eps I`` of a measurement matrix, or of each in a stack."""
     return np.swapaxes(c, -1, -2) @ c + eps * np.eye(c.shape[-1])
-
-
-def _a_eps_value(c: np.ndarray, eps: float) -> np.ndarray:
-    """``-tr[(C^T C + eps I)^-1] + r/eps`` of a measurement matrix, or of each
-    in a stack, raising ``SingularInformationError`` at the first
-    regularized Gram that is singular by the ``fisher`` test."""
-    crit = fisher._criteria(_regularized_gram(c, eps))
-    fisher._require_nonsingular(crit.eigvals)
-    return c.shape[-1] / eps - crit.trace_inv
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,27 @@ def _subset_table(obj: SetObjective, max_size: int) -> tuple[list[tuple[int, ...
     """Every subset of {1..n} and its objective value, both indexed by bit mask.
 
     Bit ``i`` of a mask stands for index ``i + 1``; masks of more than
-    ``max_size`` elements are not evaluated and hold NaN.
+    ``max_size`` elements are not evaluated and hold NaN.  The subsets of
+    each size are scored by one :meth:`SetObjective.values` call; if one
+    fails, they are evaluated one by one in mask order, so that the first
+    failure in mask order is raised.
     """
     subsets: list[tuple[int, ...]] = [()]
     for i in range(1, obj.cand.n + 1):
         subsets += [s + (i,) for s in subsets]
-    values = [obj.evaluate(sub) if len(sub) <= max_size else np.nan for sub in subsets]
-    return subsets, np.array(values)
+    sizes = np.fromiter(map(len, subsets), np.intp, len(subsets))
+    values = np.full(len(subsets), np.nan)
+    try:
+        for k in range(max_size + 1):
+            masks = np.flatnonzero(sizes == k)
+            idx = np.array([subsets[m] for m in masks], dtype=np.intp).reshape(len(masks), k)
+            values[masks] = obj.values(idx)
+    except NumericalError:
+        for sub in subsets:
+            if len(sub) <= max_size:
+                obj.evaluate(sub)
+        raise
+    return subsets, values
 
 
 def _nested_pairs(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -381,18 +394,22 @@ def nemhauser_check(cand: CandidateMatrix, p: int, epsilon: float) -> NemhauserR
     ``-tr[(C^T C + eps I)^-1] + r/eps``.  It is monotone but not
     submodular, so the Nemhauser bound ``1 - 1/e`` is not guaranteed and
     the returned ratio is an empirical measurement.  The optimum scores
-    the p-subsets in blocks (see ``selectors._best_subset``), one stack of
-    regularized Gram matrices per block, with the formula of
-    :meth:`SetObjective.evaluate`; a singular one raises
-    ``SingularInformationError``.
+    the p-subsets in blocks (see ``selectors._best_subset``), one
+    :meth:`SetObjective.values` call per block; a singular regularized
+    Gram raises ``SingularInformationError``.  For eps far above the Gram
+    eigenvalues the values are rounding noise, and an optimum that is not
+    positive raises ``NumericalError``.
     """
     _check_p(cand.n, p)
     obj = SetObjective(ObjectiveKind.A_EPS, cand, epsilon)
-
-    def score(subsets: np.ndarray) -> np.ndarray:
-        return _a_eps_value(cand.rows[subsets.T - 1], obj.epsilon)
-
-    opt_indices, opt_value = _best_subset(cand.n, p, score, minimize=False, r=cand.r)
+    opt_indices, opt_value = _best_subset(
+        cand.n, p, lambda subsets: obj.values(subsets.T), minimize=False, r=cand.r
+    )
+    if not opt_value > 0.0:
+        raise NumericalError(
+            f"the optimum {opt_value!r} at epsilon={obj.epsilon!r} is not positive, "
+            "so the greedy ratio is undefined"
+        )
     greedy = select_ag(cand, p)
     greedy_value = obj.evaluate(greedy.indices)
     return NemhauserResult(

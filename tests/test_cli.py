@@ -704,6 +704,39 @@ class TestSubmodReport:
             assert pa.read_bytes() == pb.read_bytes()
 
 
+class TestWriteCsv:
+    def test_files_equal_the_csv_writer_bytes(self, tmp_path, monkeypatch):
+        written = {}
+        write_csv = cli._write_csv
+
+        def recording(path, header, rows):
+            written[path.name] = [header, *rows]
+            write_csv(path, header, written[path.name][1:])
+
+        monkeypatch.setattr(cli, "_write_csv", recording)
+        run_random(small_config(tmp_path, sigma=0.1))
+        run_submod_report(ExperimentConfig(mode="submod", seed=3, out_dir=str(tmp_path / "out")))
+        assert sorted(written) == [
+            "random.csv", "random_summary.csv", "submod_nemhauser.csv", "submod_witnesses.csv"
+        ]
+        for name, rows in written.items():
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_a_cell_that_needs_quoting_raises(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            cli._write_csv(path, ["a", "b"], [["1", cell]])
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("row", [["1"], ["1", "2", "3"]], ids=["short", "long"])
+    def test_a_row_with_another_cell_count_raises(self, tmp_path, row):
+        with pytest.raises(TypeError):
+            cli._write_csv(tmp_path / "x.csv", ["a", "b"], [row])
+
+
 class TestMainExitCodes:
     def test_success_random(self, tmp_path, capsys):
         rc = main(
@@ -930,6 +963,19 @@ class TestMainExitCodes:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert case in err and "Gram matrix is singular" in err
+
+    def test_submod_failure_names_the_objective(self, tmp_path, capsys):
+        argv = ["submod", "--epsilon", "1e-30", "--out", str(tmp_path)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: case=a_eps embedded: Gram matrix is singular (")
+
+    def test_submod_epsilon_far_above_the_gram_exits_4(self, tmp_path, capsys):
+        # the offset value cancels to 0.0, so the optimum is not positive
+        assert main(["submod", "--epsilon", "1e300", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: bound instance=")
+        assert "at epsilon=1e+300 is not positive" in err
 
     def test_failure_before_p_min_is_named_p_min(self, tmp_path, monkeypatch, capsys):
         fail_at_step(monkeypatch, "_ag_score", 2)

@@ -15,16 +15,19 @@ from sensorsel import (
     Regime,
     SetObjective,
     SingularInformationError,
+    build_measurement,
     check_monotone,
     check_submodular,
     counterexample_report,
     default_epsilon,
     det_index,
+    fisher_info,
+    min_eig_index,
     nemhauser_check,
     select_ag,
     trace_inv_index,
 )
-from sensorsel import selectors
+from sensorsel import selectors, submod
 from sensorsel.submod import DEFAULT_CHECK_TOL
 
 from conftest import char_cubic_min_root, gaussian_candidates
@@ -262,24 +265,69 @@ class TestCheckers:
         cand = cx if matrix == "embedded" else gaussian_candidates(7, 3, seed=66)
         obj = SetObjective(kind, cand, 1e-3)
         want_sub, want_mon = scalar_loop_reports(obj, max_set_size, tol)
-        evaluated = []
-        evaluate = SetObjective.evaluate
+        scored = []
+        values = SetObjective.values
 
-        def recording(self, subset):
-            evaluated.append(tuple(subset))
-            return evaluate(self, subset)
+        def recording(self, idx):
+            scored.extend(map(tuple, idx.tolist()))
+            return values(self, idx)
 
-        monkeypatch.setattr(SetObjective, "evaluate", recording)
+        monkeypatch.setattr(SetObjective, "values", recording)
         assert check_submodular(obj, max_set_size, tol) == want_sub
         assert check_monotone(obj, max_set_size, tol) == want_mon
-        # each subset up to the size cap of each scan is evaluated once
-        want_evaluated = [
+        # each subset up to the size cap of each scan is scored once
+        want_scored = [
             sub
             for cap in (max_set_size + 1, max_set_size)
             for size in range(min(cand.n, cap) + 1)
             for sub in combinations(range(1, cand.n + 1), size)
         ]
-        assert sorted(evaluated) == sorted(want_evaluated)
+        assert sorted(scored) == sorted(want_scored)
+        monkeypatch.undo()
+        # and the table holds each subset's own evaluate, bit for bit
+        for cap in (max_set_size + 1, max_set_size):
+            subsets, table = submod._subset_table(obj, min(cand.n, cap))
+            want = [obj.evaluate(sub) if len(sub) <= cap else math.nan for sub in subsets]
+            assert list(map(repr, table.tolist())) == list(map(repr, want))
+
+    def test_singular_a_eps_is_named_at_the_first_subset_in_mask_order(self):
+        # {1, 2} (mask 3) is singular only as a pair, {3} (mask 4) alone:
+        # a scan by subset size would reach {3} first
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1e4, 0.0]])
+        obj = SetObjective(ObjectiveKind.A_EPS, CandidateMatrix(rows), 1.5e-12)
+        obj.evaluate((1,))  # {1} alone is not singular
+        errors = {}
+        for subset in [(1, 2), (3,)]:
+            with pytest.raises(SingularInformationError) as err:
+                obj.evaluate(subset)
+            errors[subset] = str(err.value)
+        assert errors[(1, 2)] != errors[(3,)]
+        for check in (check_submodular, check_monotone):
+            with pytest.raises(SingularInformationError) as err:
+                check(obj, max_set_size=2)
+            assert str(err.value) == errors[(1, 2)]
+
+
+class TestValues:
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_values_equal_evaluate_on_each_subset(self, kind):
+        # sizes 0..7 of 7 rows of width 3 cover both regimes of E_RAW (k <= r, k > r)
+        cand = gaussian_candidates(7, 3, seed=67)
+        obj = SetObjective(kind, cand, 1e-3)
+        for size in range(cand.n + 1):
+            subsets = list(combinations(range(1, cand.n + 1), size))
+            got = obj.values(np.array(subsets, dtype=np.intp).reshape(len(subsets), size))
+            assert got.shape == (len(subsets),)
+            assert list(map(repr, got.tolist())) == [repr(obj.evaluate(sub)) for sub in subsets]
+
+    def test_e_raw_is_the_min_eig_index_of_the_regime_gram(self):
+        cand = gaussian_candidates(7, 3, seed=68)
+        obj = SetObjective(ObjectiveKind.E_RAW, cand)
+        for size in range(1, cand.n + 1):
+            subsets = list(combinations(range(1, cand.n + 1), size))
+            got = obj.values(np.array(subsets, dtype=np.intp))
+            want = [min_eig_index(fisher_info(build_measurement(cand, sub))) for sub in subsets]
+            assert list(map(repr, got.tolist())) == list(map(repr, want))
 
 
 class TestProofIdentities:
