@@ -19,9 +19,9 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,14 +117,6 @@ def _cell(value: object) -> str:
 _RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
 
 
-class _Selected(NamedTuple):
-    """A selection waiting for evaluation: its candidate rows and reported locations."""
-
-    sel: SelectionResult
-    measurement: np.ndarray
-    locations: tuple[int, ...]
-
-
 @contextmanager
 def _naming_case(case: str) -> Iterator[None]:
     """Re-raise a numerical failure with the case it hit (``method=dg p=3
@@ -135,47 +127,26 @@ def _naming_case(case: str) -> Iterator[None]:
         raise type(exc)(f"{case}: {exc}") from exc
 
 
-def _records_by_p(
+def _unit_records(
     cand: fisher.CandidateMatrix,
-    method: Method,
-    p_values: Iterable[int],
+    locations: np.ndarray,
+    methods: Iterable[Method],
+    p_values: Sequence[int],
     unit: str,
     number: int,
     seed_keys: tuple[int, ...],
-    record_of: Callable[[SelectionResult], _Selected],
-) -> Iterator[_Selected]:
-    """Yield ``record_of(sel)`` for the selection of ``method`` at each p, in ``p_values`` order.
+    z_true: np.ndarray,
+    observe: Callable[[SelectionResult, np.ndarray, tuple[int, ...]], np.ndarray],
+) -> list[ExperimentRecord]:
+    """Records of one trial or fold, in run order: each method's selection at
+    each p, the Fisher indices of its rows of ``cand``, and the error of
+    reconstructing ``z_true`` from ``observe(sel, rows, locs)``, where
+    ``locs`` are the ``locations`` (1-based) of the picked rows.
 
     A greedy method runs once: its selection for p is the p-th result of
-    one stepwise run, advanced only as far as the largest p so far.  A
-    step that fails is therefore raised at the first p that needs it,
-    after the selections of the smaller p, and named as a run for that p
-    alone would be.  ``random`` draws each p with seed
-    ``derive_seed(*seed_keys, p)``.
-    """
-    steps = None if method is Method.RANDOM else greedy_steps(cand, method)
-    prefixes: list[SelectionResult] = []
-    for p in p_values:
-        with _naming_case(f"method={method.value} p={p} {unit}={number}"):
-            if steps is None:
-                sel = run_selector(cand, p, method, seed=derive_seed(*seed_keys, p))
-            else:
-                _check_p(cand.n, p)
-                while len(prefixes) < p:
-                    prefixes.append(next(steps))
-                sel = prefixes[p - 1]
-        yield record_of(sel)
-
-
-def _evaluate(
-    selections: Iterable[_Selected],
-    unit: str,
-    number: int,
-    z_true: np.ndarray,
-    observe: Callable[[_Selected], np.ndarray],
-) -> list[ExperimentRecord]:
-    """Records of one trial's or fold's selections: the Fisher indices of each
-    selected set and the error of reconstructing ``z_true`` from ``observe(item)``.
+    one stepwise run, advanced only as far as the largest p so far, so a
+    failing step is named by the first p that needs it.  ``random`` draws
+    each p with seed ``derive_seed(*seed_keys, p)``.
 
     Each record forms its regime Gram once.  The Grams of one shape (one
     group per p <= r, one for all p > r) are stacked for one ``det`` and
@@ -188,14 +159,26 @@ def _evaluate(
     is raised, or else the selection failure.  A group whose stacked
     eigensolve fails has its records solved alone, in run order.
     """
-    selected: list[_Selected] = []
+    selected: list[tuple[SelectionResult, np.ndarray, tuple[int, ...]]] = []
     failure = None
     try:
-        for item in selections:
-            selected.append(item)
+        for method in methods:
+            steps = None if method is Method.RANDOM else greedy_steps(cand, method)
+            prefixes: list[SelectionResult] = []
+            for p in p_values:
+                with _naming_case(f"method={method.value} p={p} {unit}={number}"):
+                    if steps is None:
+                        sel = run_selector(cand, p, method, seed=derive_seed(*seed_keys, p))
+                    else:
+                        _check_p(cand.n, p)
+                        while len(prefixes) < p:
+                            prefixes.append(next(steps))
+                        sel = prefixes[p - 1]
+                locs = tuple(locations[[i - 1 for i in sel.indices]].tolist())
+                selected.append((sel, cand.take(sel.indices), locs))
     except SensorSelError as exc:
         failure = exc
-    grams = [fisher._gram(item.measurement) for item in selected]
+    grams = [fisher._gram(c) for _, c, _ in selected]
     det, trace_inv, min_eig = np.empty((3, len(grams)))
     eigvals: dict[int, np.ndarray] = {}
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -210,15 +193,15 @@ def _evaluate(
             continue  # its records are solved alone, in run order, below
         eigvals.update(zip(idx, w))
     records = []
-    for k, (sel, c, locations) in enumerate(selected):
+    for k, (sel, c, locs) in enumerate(selected):
         with _naming_case(f"method={sel.method.value} p={len(sel.indices)} {unit}={number}"):
             if k not in eigvals:
                 eigvals[k], trace_inv[k], min_eig[k] = fisher._criteria(grams[k])
             fisher._require_nonsingular(eigvals[k])
-            z_est = fisher._pinv_apply(c, grams[k], observe(selected[k]))
+            z_est = fisher._pinv_apply(c, grams[k], observe(sel, c, locs))
             recon_error = fisher.reconstruction_error(z_true, z_est)
         records.append(ExperimentRecord(
-            sel.method.value, len(sel.indices), number, sel.indices, locations,
+            sel.method.value, len(sel.indices), number, sel.indices, locs,
             float(det[k]), float(trace_inv[k]), float(min_eig[k]), recon_error, sel.wall_time,
         ))
     if failure is not None:
@@ -232,31 +215,24 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
         raise ConfigError(f"run_random called with mode {cfg.mode!r}")
     cfg.validate()
     records: list[ExperimentRecord] = []
-    p_values = range(cfg.p_min, cfg.p_max + 1)
     for trial in range(cfg.trials):
         cand = data_mod.gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
         z = data_mod.gen_latent(cfg.r, 1, derive_seed(cfg.seed, trial, 1))
 
-        def observe(item: _Selected) -> np.ndarray:
-            y = item.measurement @ z
+        def observe(sel: SelectionResult, rows: np.ndarray, locs: tuple[int, ...]) -> np.ndarray:
+            y = rows @ z
             if cfg.sigma > 0:
-                code, p = _METHOD_CODE[item.sel.method], len(item.sel.indices)
+                code, p = _METHOD_CODE[sel.method], len(sel.indices)
                 noise_rng = np.random.Generator(
                     np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
                 )
                 y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
             return y
 
-        def taken(sel: SelectionResult) -> _Selected:
-            return _Selected(sel, cand.take(sel.indices), sel.indices)
-
-        seed_keys = (cfg.seed, trial, 2)
-        selections = (
-            item
-            for method in cfg.methods
-            for item in _records_by_p(cand, method, p_values, "trial", trial, seed_keys, taken)
+        records += _unit_records(
+            cand, np.arange(1, cfg.n + 1), cfg.methods, range(cfg.p_min, cfg.p_max + 1),
+            "trial", trial, (cfg.seed, trial, 2), z, observe,
         )
-        records += _evaluate(selections, "trial", trial, z, observe)
     return _emit(records, Path(cfg.out_dir), "random")
 
 
@@ -304,20 +280,10 @@ def evaluate_fold(
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
     x_test = snapshots.X[:, test_cols]
     z_true = pod.modes.T @ x_test
-
-    def located(sel: SelectionResult) -> _Selected:
-        orig = locations[[i - 1 for i in sel.indices]]
-        return _Selected(sel, cand.take(sel.indices), tuple(int(i) for i in orig))
-
-    selections = (
-        item
-        for method in methods
-        for item in _records_by_p(
-            cand, method, p_values, "fold", fold, (seed, fold, 2, _METHOD_CODE[method]), located
-        )
-    )
-    return _evaluate(
-        selections, "fold", fold, z_true, lambda item: x_test[[i - 1 for i in item.locations], :]
+    seed_keys = (seed, fold, 2, _METHOD_CODE[Method.RANDOM])
+    return _unit_records(
+        cand, locations, methods, p_values, "fold", fold, seed_keys, z_true,
+        lambda sel, rows, locs: x_test[[i - 1 for i in locs], :],
     )
 
 
@@ -393,8 +359,6 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sections: list[str] = []
-    witness_header = ["objective", "check", "S", "T", "i"]
-    cells = itemgetter(*witness_header[1:])
     witness_rows: list[tuple] = []
 
     report = submod.counterexample_report()
@@ -425,7 +389,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
             )
             sections.append(f"  e_raw verdict: {verdict}")
         for rep in (rep_sub, rep_mon):
-            witness_rows += ((label, *cells(row)) for row in rep.witness_rows())
+            witness_rows += ((label, *row) for row in rep.witness_rows())
 
     bound_rows = []
     for j in range(5):
@@ -441,7 +405,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     text_path = out_dir / "submod_report.txt"
     text_path.write_text("\n\n".join(sections) + "\n")
     wit_path = out_dir / "submod_witnesses.csv"
-    _write_csv(wit_path, witness_header, witness_rows)
+    _write_csv(wit_path, ["objective", "check", "S", "T", "i"], witness_rows)
     bound_path = out_dir / "submod_nemhauser.csv"
     _write_csv(bound_path, ["instance", "greedy_value", "opt_value", "ratio"], bound_rows)
     return text_path, wit_path, bound_path

@@ -40,6 +40,7 @@ from .fisher import (
     _criteria,
     _eigh,
     _eigvalsh,
+    _gram,
     _require_nonsingular,
     build_measurement,
     det_index,
@@ -255,10 +256,7 @@ def _ag_score(state: _Factor) -> np.ndarray:
     if state.under:
         coords = state.coords[: len(state.selected)]
         y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
-        values = np.full(u.shape[0], np.nan)
-        ok = ~state.excluded
-        values[ok] = (_quad(y, y)[ok] + 1.0) / state.res2[ok]
-        return values
+        return (_quad(y, y) + 1.0) / state.res2
     y = u @ np.linalg.inv(state.gram())
     return -_quad(y, y) / (1.0 + _quad(u, y))
 
@@ -435,17 +433,17 @@ def _best_subset(
     p: int,
     score: Callable[[np.ndarray], np.ndarray],
     minimize: bool,
-    r: int = 1,
+    r: int,
 ) -> tuple[tuple[int, ...], float]:
     """Best p-subset of {1..n} under ``score``, with its value.
 
     The subsets are scored in lexicographic order, in blocks of at most
     :data:`BRUTE_BLOCK` // (p r) subsets (at least one), ``r`` being the
-    width of a candidate row: ``score`` takes a block as a (p, k) array
-    of 1-based indices, column j holding the j-th subset, and returns its
-    k values.  :func:`_argbest` then picks the winner, so near-ties go to
-    the lexicographically smallest subset and NaN values are skipped, as
-    in a greedy step.  Guarded by :data:`BRUTE_GUARD` on the number of
+    width of a candidate row: ``score`` takes a block as a (k, p) array
+    of 1-based indices, one subset per row, and returns its k values.
+    :func:`_argbest` then picks the winner, so near-ties go to the
+    lexicographically smallest subset and NaN values are skipped, as in a
+    greedy step.  Guarded by :data:`BRUTE_GUARD` on the number of
     subsets.
     """
     total = math.comb(n, p)
@@ -457,7 +455,7 @@ def _best_subset(
     for start in range(0, total, size):
         k = min(size, total - start)
         block = np.fromiter(chain.from_iterable(islice(subsets, k)), np.intp, k * p)
-        values[start : start + k] = score(block.reshape(k, p).T)
+        values[start : start + k] = score(block.reshape(k, p))
     best = _argbest(values, minimize)
     return next(islice(combinations(range(1, n + 1), p), best, None)), float(values[best])
 
@@ -480,9 +478,7 @@ def select_bruteforce(
     _check_p(cand.n, p)
 
     def score(subsets: np.ndarray) -> np.ndarray:
-        c = u[subsets.T - 1]
-        ct = c.transpose(0, 2, 1)
-        gram = c @ ct if p <= cand.r else ct @ c
+        gram = _gram(u[subsets - 1])
         if criterion is Criterion.D:
             sign, logdet = np.linalg.slogdet(gram)
             return np.where(sign > 0, logdet, -np.inf)

@@ -164,16 +164,12 @@ class ModularityReport:
         lines.append(f"  monotonicity violations:   {len(self.violations_monotone)}")
         return "\n".join(lines)
 
-    def witness_rows(self) -> list[dict]:
-        """One dict per witness, ready for CSV serialization."""
+    def witness_rows(self) -> list[tuple]:
+        """One ``(check, S, T, i)`` CSV row per witness, subsets space-joined."""
         cell = functools.cache(_fmt)  # the witnesses share few distinct subsets
-        rows = []
-        for s, t, i in self.violations_submodular:
-            rows.append({"check": "submodular", "S": cell(s), "T": cell(t), "i": i})
-        for s, t, i in self.violations_supermodular:
-            rows.append({"check": "supermodular", "S": cell(s), "T": cell(t), "i": i})
-        for s, t in self.violations_monotone:
-            rows.append({"check": "monotone", "S": cell(s), "T": cell(t), "i": ""})
+        rows = [("submodular", cell(s), cell(t), i) for s, t, i in self.violations_submodular]
+        rows += [("supermodular", cell(s), cell(t), i) for s, t, i in self.violations_supermodular]
+        rows += [("monotone", cell(s), cell(t), "") for s, t in self.violations_monotone]
         return rows
 
 
@@ -402,9 +398,7 @@ def nemhauser_check(cand: CandidateMatrix, p: int, epsilon: float) -> NemhauserR
     """
     _check_p(cand.n, p)
     obj = SetObjective(ObjectiveKind.A_EPS, cand, epsilon)
-    opt_indices, opt_value = _best_subset(
-        cand.n, p, lambda subsets: obj.values(subsets.T), minimize=False, r=cand.r
-    )
+    opt_indices, opt_value = _best_subset(cand.n, p, obj.values, minimize=False, r=cand.r)
     if not opt_value > 0.0:
         raise NumericalError(
             f"the optimum {opt_value!r} at epsilon={obj.epsilon!r} is not positive, "

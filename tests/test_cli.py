@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -220,18 +221,20 @@ class TestRunRandom:
                     grams.append(plain[0].shape)
                 return getattr(ufunc, method)(*plain, **kwargs)
 
+        class CountingCandidates(CandidateMatrix):
+            def take(self, indices):
+                return super().take(indices).view(GramCounter)
+
         eigensolves = []
         eigvalsh = fisher._eigvalsh
         monkeypatch.setattr(fisher, "_eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
-        cand = gen_random_system(8, 3, 0)
+        cand = CountingCandidates(gen_random_system(8, 3, 0).rows)
         z = gen_latent(3, 1, 1)
         sizes = [p, 1, p, 4]
-        batch = []
-        for q in sizes:
-            indices = tuple(range(1, q + 1))
-            sel = SelectionResult(Method.RANDOM, indices, (float("nan"),) * q, 0.0)
-            batch.append(cli._Selected(sel, cand.take(indices).view(GramCounter), indices))
-        records = cli._evaluate(batch, "trial", 0, z, lambda item: item.measurement @ z)
+        records = cli._unit_records(
+            cand, np.arange(1, 9), [Method.RANDOM], sizes, "trial", 0, (0,), z,
+            lambda sel, rows, locs: rows @ z,
+        )
         assert [rec.p for rec in records] == sizes
         assert [shape[0] for shape in grams] == [min(q, 3) for q in sizes]
         sides = [min(q, 3) for q in sizes]
@@ -407,12 +410,9 @@ class TestRunCv:
             run_cv(cfg)
 
 
-def per_p_records(cand, method, p_values, unit, number, seed_keys, record_of):
-    """Reference for ``cli._records_by_p``: one ``run_selector`` call per p."""
-    return [
-        record_of(cli.run_selector(cand, p, method, seed=derive_seed(*seed_keys, p)))
-        for p in p_values
-    ]
+def per_p_steps(cand, method):
+    """Reference for ``cli.greedy_steps``: one ``run_selector`` call per p."""
+    return (cli.run_selector(cand, p, method) for p in count(1))
 
 
 def reference_cells(cand, indices, z_true, y):
@@ -657,7 +657,7 @@ class TestSelectOnce:
             configs = [self.cv_config(tmp_path, out) for out in "ab"]
             runner = run_cv
         once = runner(configs[0])
-        monkeypatch.setattr(cli, "_records_by_p", per_p_records)
+        monkeypatch.setattr(cli, "greedy_steps", per_p_steps)
         per_p = runner(configs[1])
         for a, b in zip(once, per_p):
             assert strip_wall_time(read_csv(a)) == strip_wall_time(read_csv(b))

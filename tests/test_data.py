@@ -51,6 +51,7 @@ class TestCsvFormat:
             "2,2\n1,0,3\n0,1\n",   # wrong value count
             "2,2\n1,zz\n0,1\n",    # bad token
             "3,1,2,2\n1,2,3\n",    # grid does not cover n
+            "6,1,-2,-3\n1,2,3,4,5,6\n",  # nonpositive grid sides
             "0,2\n\n",             # nonpositive dims
         ],
     )
@@ -59,6 +60,10 @@ class TestCsvFormat:
         path.write_text(text)
         with pytest.raises(FormatError):
             load_snapshots(path, SnapshotFormat.CSV)
+
+    def test_snapshot_data_rejects_a_nonpositive_grid_side(self):
+        with pytest.raises(ValueError, match="grid sides must be positive, got -1x-6"):
+            SnapshotData(np.ones((6, 2)), grid=(-1, -6))
 
     def test_non_utf8_file_is_format_error_naming_the_path(self, tmp_path):
         path = tmp_path / "binary.csv"
@@ -156,6 +161,12 @@ class TestRawFormat:
         payload = struct.pack("<2d", float("nan"), 1.0)
         path.write_bytes(raw_header(2, 1, flags=1) + b"\x01\x01" + payload)
         with pytest.raises(DataError):
+            load_snapshots(path, SnapshotFormat.RAW_F64)
+
+    def test_undefined_header_flag_is_format_error(self, tmp_path):
+        path = tmp_path / "flags.raw"
+        path.write_bytes(raw_header(2, 1, flags=6) + b"\0" * 16)
+        with pytest.raises(FormatError, match=r"flags\.raw: unknown header flags 0x6"):
             load_snapshots(path, SnapshotFormat.RAW_F64)
 
     def test_sidecar_metadata_written_and_ignored(self, tmp_path):

@@ -374,7 +374,7 @@ class TestBruteForce:
         step = -0.9e-12 if minimize else 0.9e-12
         values = np.array([1.0, 1.0 + step, 1.0 + 2 * step])
         k = _argbest(values, minimize)
-        subset, value = _best_subset(3, 1, lambda s: values[s[0] - 1], minimize)
+        subset, value = _best_subset(3, 1, lambda s: values[s[:, 0] - 1], minimize, r=1)
         assert (subset, value) == ((k + 1,), values[k])
 
 
@@ -467,7 +467,7 @@ class TestBruteForceBlocks:
         values = 1.0 + step * np.arange(20)
         self.block_size(monkeypatch, subsets, 1, 1)
         k = _argbest(values, minimize)
-        assert _best_subset(20, 1, lambda s: values[s[0] - 1], minimize) == ((k + 1,), values[k])
+        assert _best_subset(20, 1, lambda s: values[s[:, 0] - 1], minimize, r=1) == ((k + 1,), values[k])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d_past_the_float_range_picks_without_a_warning(self):

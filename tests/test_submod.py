@@ -232,6 +232,21 @@ class TestCheckers:
                 scale = max(1.0, abs(gain_s), abs(gain_t))
                 assert gain_s - gain_t > rep.tolerance * scale
 
+    def test_witness_rows_are_the_formatted_violations_in_order(self):
+        rep = ModularityReport(
+            checked_pairs=4,
+            tolerance=0.0,
+            violations_submodular=(((), (3,), 1), ((1,), (1, 2), 4)),
+            violations_supermodular=(((2,), (2, 3, 5), 1),),
+            violations_monotone=(((1,), (1, 10)),),
+        )
+        assert rep.witness_rows() == [
+            ("submodular", "", "3", 1),
+            ("submodular", "1", "1 2", 4),
+            ("supermodular", "2", "2 3 5", 1),
+            ("monotone", "1", "1 10", ""),
+        ]
+
     def test_checked_pair_counts_cover_the_domain(self):
         cand = gaussian_candidates(5, 2, seed=61)
         obj = SetObjective(ObjectiveKind.MODULAR_NORM, cand)
