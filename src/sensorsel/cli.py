@@ -6,8 +6,8 @@ and ``select`` (one-shot selection on a provided matrix).  Runs write
 plot-ready CSV files; everything except wall-clock columns is bit-stable
 for a fixed seed.
 
-Exit codes: 0 success, 2 ``ConfigError``, 3 ``DataError`` or a missing
-file, 4 ``NumericalError``.
+Exit codes: 0 success, 2 ``ConfigError``, 3 ``DataError`` or a file that
+cannot be read or written (any ``OSError``), 4 ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _unit_records(
     Each record forms its regime Gram once.  The Grams of one shape (one
     group per p <= r, one for all p > r) are stacked for one ``det`` and
     one ``fisher._criteria``, which give each matrix the bits of a call on
-    it alone; the Cholesky solve of ``fisher.estimate`` stays per record.
+    it alone; the ``np.linalg.solve`` of ``fisher.estimate`` stays per record.
 
     The failure raised is the one a run that evaluates each selection as
     it is made would hit first: selecting stops at the first failure, the
@@ -442,12 +442,14 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_methods(text: str) -> list[Method]:
-    """Comma list of the experiment methods (``brute`` is for ``select`` only)."""
+    """Comma list of distinct experiment methods (``brute`` is for ``select`` only)."""
     allowed = {m.value: m for m in _METHOD_CODE}
     out = []
     for tok in filter(None, (t.strip().lower() for t in text.split(","))):
         if tok not in allowed:
             raise ConfigError(f"method {tok!r} is not one of {', '.join(allowed)}")
+        if allowed[tok] in out:
+            raise ConfigError(f"method {tok!r} is listed twice")
         out.append(allowed[tok])
     return out
 
@@ -537,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

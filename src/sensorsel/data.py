@@ -95,6 +95,8 @@ class SnapshotData:
             raise DataError("non-finite snapshot entries at valid locations")
         if self.grid is not None:
             w, h = self.grid
+            if not (float(w).is_integer() and float(h).is_integer()):
+                raise ValueError(f"grid sides must be whole numbers, got {w}x{h}")
             if w < 1 or h < 1:
                 raise ValueError(f"grid sides must be positive, got {w}x{h}")
             if w * h != x.shape[0]:

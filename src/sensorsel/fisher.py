@@ -226,39 +226,20 @@ def _criteria(gram: np.ndarray) -> _Criteria:
 
 
 def _solve_gram(info: FisherInfo, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``info.matrix @ x = rhs`` by Cholesky, once the Gram matrix passes
-    the singularity test, which leaves it safely positive definite; inverses
-    are never formed explicitly."""
+    """Solve ``info.matrix @ x = rhs`` by ``np.linalg.solve`` once the Gram
+    passes the singularity test, which leaves it positive definite with a
+    condition number below ``1 / EPS_SINGULAR``; no inverse is formed."""
     _require_nonsingular(info._criteria.eigvals)
-    return _cholesky_solve(info.matrix, rhs)
-
-
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` by LAPACK's upper Cholesky factor.
-
-    These are the ``potrf`` and ``potrs`` calls that ``scipy.linalg.cho_factor``
-    and ``cho_solve`` make, without their argument checks.  SciPy's linear
-    algebra loads its own BLAS, so it is imported here, on first use, rather
-    than with the package.
-    """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    factor, info = dpotrf(gram, lower=0, clean=0)
-    if info == 0:
-        x, info = dpotrs(factor, rhs, lower=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-    return x
+    return np.linalg.solve(info.matrix, rhs)
 
 
 def _pinv_apply(c: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`estimate`'s arithmetic on a measurement ``c`` and its regime
-    Gram ``gram``, which must pass the singularity test."""
+    Gram ``gram``, which must pass the singularity test: one
+    ``np.linalg.solve`` on the Gram."""
     if c.shape[0] <= c.shape[1]:
-        return c.T @ _cholesky_solve(gram, y)
-    return _cholesky_solve(gram, c.T @ y)
+        return c.T @ np.linalg.solve(gram, y)
+    return np.linalg.solve(gram, c.T @ y)
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:

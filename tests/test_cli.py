@@ -756,10 +756,12 @@ class TestMainExitCodes:
         assert rc == 2
 
     def test_dc_method_exit_2(self, tmp_path):
-        rc = main(
-            ["random", "--methods", "dc", "--out", str(tmp_path / "x")]
-        )
-        assert rc == 2
+        # an unknown method, and a method listed twice, which would repeat its records
+        for methods in ("dc", "dg,dg", "random,ag,random"):
+            rc = main(
+                ["random", "--methods", methods, "--out", str(tmp_path / "x")]
+            )
+            assert rc == 2
 
     def test_data_error_exit_3(self, tmp_path):
         rc = main(
@@ -769,6 +771,15 @@ class TestMainExitCodes:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("mode", [SMALL_RANDOM, ["submod"]], ids=["random", "submod"])
+    def test_an_unwritable_out_is_a_data_error(self, tmp_path, capsys, mode):
+        existing = tmp_path / "file"
+        existing.write_text("")
+        for out in (existing, existing / "sub"):  # FileExistsError, NotADirectoryError
+            assert main([*mode, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "Traceback" not in err
 
     def test_numerical_error_exit_4(self, tmp_path):
         # two identical candidate rows: the A-greedy runs out of admissible rows
@@ -803,7 +814,11 @@ class TestMainExitCodes:
             "from sensorsel import cli\n"
             "for method in ('dg', 'ag', 'eg', 'random', 'brute'):\n"
             f"    assert cli.main(['select', '--data', {str(path)!r}, '--p', '5', '--method', method]) == 0\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "for criterion in ('d', 'a', 'e'):\n"
+            f"    assert cli.main(['select', '--data', {str(path)!r}, '--p', '5', '--method', 'brute', '--criterion', criterion]) == 0\n"
+            f"assert cli.main({SMALL_RANDOM + ['--out', str(tmp_path / 'rand')]!r}) == 0\n"
+            f"assert cli.main(['submod', '--out', {str(tmp_path / 'sub')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(sensorsel.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -811,7 +826,7 @@ class TestMainExitCodes:
             [sys.executable, "-c", script], env=env, check=True, capture_output=True,
             text=True, timeout=120,
         )
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_select_and_random_leave_scipy_sparse_unloaded(self, tmp_path):
         path = tmp_path / "cand.csv"
@@ -833,15 +848,17 @@ class TestMainExitCodes:
         )
         assert done.stdout.splitlines()[-1] == "False"
 
-    def test_random_summary_with_a_zero_dg_mean(self, tmp_path):
-        # sigma 0 and p = r = 3: dg reconstructs exactly, so its recon_error mean is 0.0
-        out = tmp_path / "zero"
-        argv = [
-            "random", "--n", "25", "--r", "3", "--p-min", "2", "--p-max", "5",
-            "--trials", "1", "--seed", "7", "--out", str(out),
+    def test_random_summary_with_a_zero_dg_mean(self):
+        # one trial of every method at p = 2..5, where dg's recon_error at p = 3 is exactly 0.0
+        records = [
+            cli.ExperimentRecord(
+                method, p, 0, tuple(range(1, p + 1)), tuple(range(1, p + 1)),
+                2.0, 3.0, 0.5, 0.0 if (method, p) == ("dg", 3) else 0.25, 1e-3,
+            )
+            for method in ("dg", "ag", "eg", "random")
+            for p in range(2, 6)
         ]
-        assert main(argv) == 0
-        rows = read_csv(out / "random_summary.csv")[1:]
+        rows = cli._summary_rows(records)
         norm = {(row[0], row[1]): row[3] for row in rows if row[2] == "recon_error_mean_dgnorm"}
         assert norm[("dg", "3")] == "nan"
         assert norm[("random", "3")] == "inf"

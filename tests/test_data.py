@@ -64,6 +64,8 @@ class TestCsvFormat:
     def test_snapshot_data_rejects_a_nonpositive_grid_side(self):
         with pytest.raises(ValueError, match="grid sides must be positive, got -1x-6"):
             SnapshotData(np.ones((6, 2)), grid=(-1, -6))
+        with pytest.raises(ValueError, match="grid sides must be whole numbers, got 2.5x4"):
+            SnapshotData(np.ones((10, 3)), grid=(2.5, 4))
 
     def test_non_utf8_file_is_format_error_naming_the_path(self, tmp_path):
         path = tmp_path / "binary.csv"
