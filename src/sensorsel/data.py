@@ -24,10 +24,6 @@ RAW_F64
     snapshot is contiguous, and nothing after them.  Masked values may be
     anything; they load as 0.
 
-An optional sidecar ``<path>.meta`` with ``key=value`` lines (source,
-units, grid) may be written next to a file; it is never read back by the
-numeric pipeline.
-
 Random draws use NumPy's PCG64 generator; normal variates come from the
 ziggurat method of ``Generator.standard_normal``, so a seed pins the
 entire stream on every platform.
@@ -41,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -247,6 +242,9 @@ def _load_csv(path: Path) -> SnapshotData:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise FormatError(f"{path}: expected {m} snapshot lines, found {len(body)}")
+    for j, line in enumerate(body):  # n values need 2n - 1 characters, so the text bounds x
+        if len(line) < 2 * n - 1:
+            raise FormatError(f"{path}: snapshot line {j + 1} is too short for {n} values")
     x = np.empty((n, m))
     for j, line in enumerate(body):
         toks = line.split(",")
@@ -286,13 +284,8 @@ def _load_raw(path: Path) -> SnapshotData:
     return SnapshotData(X=flat.reshape((n, m), order="F"), mask=mask)
 
 
-def save_snapshots(
-    data: SnapshotData,
-    path: str | Path,
-    fmt: SnapshotFormat,
-    meta: dict[str, str] | None = None,
-) -> None:
-    """Write a snapshot file; optionally drop a ``<path>.meta`` sidecar."""
+def save_snapshots(data: SnapshotData, path: str | Path, fmt: SnapshotFormat) -> None:
+    """Write a snapshot file."""
     path = Path(path)
     if fmt is SnapshotFormat.CSV:
         if data.mask is not None:
@@ -311,19 +304,14 @@ def save_snapshots(
             parts.append(data.mask.astype(np.uint8).tobytes())
         parts.append(np.asarray(data.X, dtype="<f8").tobytes(order="F"))
         path.write_bytes(b"".join(parts))
-    if meta:
-        side = path.with_name(path.name + ".meta")
-        side.write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
 
 
-def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> PodModel:
+def pod_truncate(data: SnapshotData, r: int) -> PodModel:
     """Rank-r truncated SVD of the snapshot matrix.
 
-    Masked-out rows are zero (see :class:`SnapshotData`).  With
-    ``subtract_mean`` the temporal mean of each row is removed first
-    (masked rows stay zero either way).  Singular values are returned in
-    nonincreasing order, and mode signs are fixed so the largest-magnitude
-    entry of each spatial mode is positive.
+    Masked-out rows are zero (see :class:`SnapshotData`).  Singular values
+    are returned in nonincreasing order, and mode signs are fixed so the
+    largest-magnitude entry of each spatial mode is positive.
 
     Only the r leading singular triplets are computed when the matrix is
     large enough for that to pay: if ``min(n, m) >= 4 * (2r + 1)``,
@@ -346,11 +334,7 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
     n, m = data.n, data.m
     if r < 1 or r > min(n, m):
         raise RankOutOfRangeError(f"rank {r} outside [1, {min(n, m)}]")
-    x = data.X
-    if subtract_mean:
-        x = x - x.mean(axis=1, keepdims=True)
-    gram = (lambda: data.gram) if n >= m and not subtract_mean else None
-    u, s, vt = _leading_svd(x, r, gram)
+    u, s, vt = _leading_svd(data, r)
     for j in range(r):
         k = int(np.argmax(np.abs(u[:, j])))
         if u[k, j] < 0.0:
@@ -359,18 +343,17 @@ def pod_truncate(data: SnapshotData, r: int, subtract_mean: bool = False) -> Pod
     return PodModel(r=r, modes=u, singular_values=s, temporal=vt.T)
 
 
-def _leading_svd(
-    x: np.ndarray, r: int, gram: Callable[[], np.ndarray] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r leading singular triplets of x in nonincreasing order (see
-    pod_truncate); ``gram`` returns ``xᵀx`` when x is tall, if it is known."""
+def _leading_svd(data: SnapshotData, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r leading singular triplets of ``data.X`` in nonincreasing order (see
+    pod_truncate); the normal matrix is ``data.gram`` when X is tall, ``XXᵀ`` when wide."""
+    x = data.X
     if min(x.shape) >= _ARPACK_MIN_SIZE_PER_RANK * (2 * r + 1):
         # loaded here, not with the package: only large snapshot matrices need it
         import scipy.sparse.linalg
 
         tall = x.shape[0] >= x.shape[1]
         a = x if tall else x.T
-        normal = gram() if gram is not None else a.T @ a
+        normal = data.gram if tall else a.T @ a
         v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(a.shape[1])
         try:
             _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)

@@ -181,10 +181,10 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _singular(w: np.ndarray) -> np.ndarray:
     """Whether a Gram fails the relative singularity test: its least eigenvalue
-    is at or below ``EPS_SINGULAR`` times its largest (so a non-positive one
-    fails).  ``w`` holds the ascending eigenvalues of one Gram, or of one per
+    is not above ``EPS_SINGULAR`` times its largest (so a non-positive or a NaN
+    one fails).  ``w`` holds the ascending eigenvalues of one Gram, or of one per
     row; for one, ``[()]`` reads NumPy scalars, cheaper than 0-d arrays."""
-    return w[..., 0][()] <= EPS_SINGULAR * w[..., -1][()]
+    return ~(w[..., 0][()] > EPS_SINGULAR * w[..., -1][()])
 
 
 def _require_nonsingular(w: np.ndarray) -> None:
@@ -199,9 +199,9 @@ def _require_nonsingular(w: np.ndarray) -> None:
 
 
 def _det(gram: np.ndarray) -> np.ndarray:
-    """Determinant of a Gram matrix, or of each in a stack: ``inf``, without a
-    warning, past the float range."""
-    with np.errstate(over="ignore"):
+    """Determinant of a Gram matrix, or of each in a stack, without a warning:
+    ``inf`` past the float range, NaN where overflowed entries leave it undefined."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.det(gram)
 
 
@@ -283,8 +283,8 @@ def trace_inv_index(f: FisherInfo) -> float:
     Raises
     ------
     SingularInformationError
-        If the smallest eigenvalue is at or below ``EPS_SINGULAR`` times the
-        largest.
+        If the smallest eigenvalue is not above ``EPS_SINGULAR`` times the
+        largest (a NaN eigenvalue included).
     """
     _require_nonsingular(f._criteria.eigvals)
     return float(f._criteria.trace_inv)

@@ -1,16 +1,16 @@
 """Set-function views of the optimality objectives and exhaustive checkers.
 
-The regularized objectives make the selection criteria well defined on
-every subset, including the empty set, so that submodularity and
-monotonicity can be checked exhaustively on small instances, and the
-greedy-to-optimal ratio can be measured against brute force.  The
-checkers compare all nested pairs S < T at once on one table of subset
-values, so they take at most 14 candidates; the table scores the subsets
-of each size as one stack (:meth:`SetObjective.values`), bit for bit as
-one at a time.  The epsilon-offset trace objective is monotone but not
-submodular (the checker finds diminishing-returns violations), so the
-Nemhauser bound ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed
-for it and the ratio is an empirical check.
+The objectives are the epsilon-offset A objective
+``r/eps - tr[(C^T C + eps I)^-1]``, which the regularization makes well
+defined on every subset, the raw least eigenvalue of the regime Gram (E)
+and a modular fixture; each reads 0 on the empty set.  The checkers
+compare all nested pairs S < T at once on one table of subset values, so
+they take at most 14 candidates; the table scores the subsets of each
+size as one stack (:meth:`SetObjective.values`), bit for bit as one at a
+time.  The A objective is monotone but not submodular (the checker finds
+diminishing-returns violations), so the Nemhauser bound
+``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
+greedy-to-optimal ratio against brute force is an empirical check.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ def counterexample_matrix() -> CandidateMatrix:
 
 
 class ObjectiveKind(Enum):
-    D_EPS = "d_eps"  # det(C^T C + eps I)
     A_EPS = "a_eps"  # -tr[(C^T C + eps I)^-1] + r/eps
     E_RAW = "e_raw"  # lambda_min of the regime Gram matrix
-    E_GRAM_ROW = "e_gram_row"  # lambda_min(C C^T) regardless of regime
     MODULAR_NORM = "modular_norm"  # sum of squared row norms (test fixture)
 
 
@@ -76,7 +74,7 @@ class SetObjective:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (ObjectiveKind.D_EPS, ObjectiveKind.A_EPS):
+        if self.kind is ObjectiveKind.A_EPS:
             eps = self.epsilon
             if eps is None:
                 eps = default_epsilon(self.cand)
@@ -94,26 +92,21 @@ class SetObjective:
         """Set-function values of a stack of subsets of one size k, given as
         an (N, k) array of 1-based indices, one subset per row.
 
-        The empty set reads ``eps**r`` under D and 0 otherwise.  A and D
-        are the ``fisher`` indices of ``C^T C + eps I``, so A raises
-        ``SingularInformationError`` at the first of these matrices that is
-        singular, once eps is at rounding level.
+        The empty set reads 0.  A is ``r/eps`` minus the ``fisher`` A index
+        of ``C^T C + eps I``, so it raises ``SingularInformationError`` at
+        the first of these matrices that is singular, once eps is at
+        rounding level.
         """
         if idx.shape[-1] == 0:
-            empty = self.epsilon**self.cand.r if self.kind is ObjectiveKind.D_EPS else 0.0
-            return np.full(len(idx), empty)
+            return np.zeros(len(idx))
         c = self.cand.rows[idx - 1]
         if self.kind is ObjectiveKind.MODULAR_NORM:
             return np.einsum("...ij,...ij->...", c, c)
-        if self.kind is ObjectiveKind.A_EPS:
-            crit = fisher._criteria(_regularized_gram(c, self.epsilon))
-            fisher._require_nonsingular(crit.eigvals)
-            return self.cand.r / self.epsilon - crit.trace_inv
-        if self.kind is ObjectiveKind.D_EPS:
-            return fisher._det(_regularized_gram(c, self.epsilon))
         if self.kind is ObjectiveKind.E_RAW:
             return fisher._criteria(fisher._gram(c)).min_eig
-        return fisher._eigvalsh(c @ np.swapaxes(c, -1, -2))[..., 0]  # E_GRAM_ROW
+        crit = fisher._criteria(np.swapaxes(c, -1, -2) @ c + self.epsilon * np.eye(self.cand.r))
+        fisher._require_nonsingular(crit.eigvals)
+        return self.cand.r / self.epsilon - crit.trace_inv
 
     def marginal_gain(self, subset: Iterable[int], i: int) -> float:
         """``f(S + {i}) - f(S)``; raises if ``i`` already belongs to ``S``."""
@@ -121,11 +114,6 @@ class SetObjective:
         if int(i) in idx:
             raise DuplicateSensorError(f"index {i} already in the set")
         return self.evaluate(idx | {int(i)}) - self.evaluate(idx)
-
-
-def _regularized_gram(c: np.ndarray, eps: float) -> np.ndarray:
-    """``C^T C + eps I`` of a measurement matrix, or of each in a stack."""
-    return np.swapaxes(c, -1, -2) @ c + eps * np.eye(c.shape[-1])
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ class TestCsvFormat:
             "2,2\n1,0\n",          # too few snapshot lines
             "2,2\n1,0\n0,1\n5,5\n",  # too many
             "2,2\n1,0,3\n0,1\n",   # wrong value count
+            f"{10**17},1\n1.0\n",  # wrong value count, found before 800 PB are allocated
             "2,2\n1,zz\n0,1\n",    # bad token
             "3,1,2,2\n1,2,3\n",    # grid does not cover n
             "6,1,-2,-3\n1,2,3,4,5,6\n",  # nonpositive grid sides
@@ -171,15 +172,11 @@ class TestRawFormat:
         with pytest.raises(FormatError, match=r"flags\.raw: unknown header flags 0x6"):
             load_snapshots(path, SnapshotFormat.RAW_F64)
 
-    def test_sidecar_metadata_written_and_ignored(self, tmp_path):
-        x = np.ones((2, 2))
-        path = tmp_path / "meta.raw"
-        save_snapshots(
-            SnapshotData(x), path, SnapshotFormat.RAW_F64, meta={"source": "unit"}
-        )
-        assert (tmp_path / "meta.raw.meta").read_text() == "source=unit\n"
-        data = load_snapshots(path, SnapshotFormat.RAW_F64)
-        np.testing.assert_array_equal(data.X, x)
+
+    @pytest.mark.parametrize("fmt", list(SnapshotFormat))
+    def test_save_writes_the_snapshot_file_alone(self, tmp_path, fmt):
+        save_snapshots(SnapshotData(np.eye(2)), tmp_path / "only", fmt)
+        assert [p.name for p in tmp_path.iterdir()] == ["only"]
 
 
 class TestColumns:
@@ -288,22 +285,6 @@ class TestPod:
         for j in range(4):
             k = np.argmax(np.abs(pod.modes[:, j]))
             assert pod.modes[k, j] > 0
-
-    def test_mean_subtraction_flag(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((8, 5)) + 10.0  # large common offset
-        centered = pod_truncate(SnapshotData(x), 3, subtract_mean=True)
-        oracle = np.linalg.svd(x - x.mean(axis=1, keepdims=True), compute_uv=False)
-        np.testing.assert_allclose(centered.singular_values, oracle[:3], rtol=1e-10)
-        # default keeps the offset mode
-        plain = pod_truncate(SnapshotData(x), 3)
-        assert plain.singular_values[0] > centered.singular_values[0]
-
-    def test_mean_subtraction_keeps_masked_rows_zero(self):
-        x = np.random.default_rng(10).standard_normal((5, 4)) + 3.0
-        mask = np.array([True, False, True, True, True])
-        pod = pod_truncate(SnapshotData(x, mask=mask), 2, subtract_mean=True)
-        assert np.abs(pod.modes[1]).max() <= 1e-14
 
     @pytest.mark.parametrize("r", [0, 5])
     def test_rank_out_of_range(self, r):
@@ -426,21 +407,38 @@ class TestPodArpack:
         assert_same_pod(pod_truncate(SnapshotData(x), 4), x, 4)
 
     @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
-    def test_masked_rows_and_mean_subtraction(self, arpack_calls, shape):
+    def test_masked_rows(self, arpack_calls, shape):
         rng = np.random.Generator(np.random.PCG64(11))
         x = steep_snapshots(*shape, 5, ratio=1e2, seed=1) + 0.1
         mask = rng.random(shape[0]) >= 0.2
         x[~mask] = np.nan
-        zeroed = np.where(mask[:, None], x, 0.0)
-        for subtract_mean in (False, True):
-            pod = pod_truncate(SnapshotData(x, mask=mask), 5, subtract_mean=subtract_mean)
-            assert np.abs(pod.modes[~mask]).max() <= 1e-14
-            oracle = zeroed - zeroed.mean(axis=1, keepdims=True) if subtract_mean else zeroed
-            u, s, v = lapack_pod(oracle, 5)
-            np.testing.assert_allclose(pod.singular_values, s, rtol=1e-12)
-            np.testing.assert_allclose(pod.modes, u, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(pod.temporal, v, rtol=0, atol=1e-12)
-        assert arpack_calls == [normal_shape(shape)] * 2
+        pod = pod_truncate(SnapshotData(x, mask=mask), 5)
+        assert np.abs(pod.modes[~mask]).max() <= 1e-14
+        u, s, v = lapack_pod(np.where(mask[:, None], x, 0.0), 5)
+        np.testing.assert_allclose(pod.singular_values, s, rtol=1e-12)
+        np.testing.assert_allclose(pod.modes, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pod.temporal, v, rtol=0, atol=1e-12)
+        assert arpack_calls == [normal_shape(shape)]
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    def test_the_normal_matrix_is_the_gram_when_tall(self, monkeypatch, shape):
+        normals = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording(a, *args, **kwargs):
+            normals.append(a)
+            return eigsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        x = steep_snapshots(*shape, 4, ratio=1e3)
+        data = SnapshotData(x)
+        assert_close_to_lapack(pod_truncate(data, 4), x, 4)
+        (normal,) = normals
+        if shape[0] >= shape[1]:
+            assert normal is data.gram  # the set's cached XᵀX, not a second product
+        else:
+            assert "gram" not in data.__dict__  # a wide X never forms its m x m XᵀX
+            np.testing.assert_array_equal(normal, x @ x.T)
 
     def test_reruns_are_bit_identical(self, arpack_calls):
         x = steep_snapshots(36, 300, 4, ratio=1e3)  # min(n, m) = 4 (2r + 1): the rule's edge

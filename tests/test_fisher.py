@@ -230,6 +230,33 @@ class TestCriteriaKernel:
             assert np.isnan(crit.trace_inv) if j == 1 else crit.trace_inv == stacked.trace_inv[j]
 
 
+class TestNanEigenvalues:
+    """A Gram whose eigenvalues come back NaN fails the singularity test."""
+
+    def test_overflowing_rows_raise_and_their_det_reads_nan(self):
+        cand = CandidateMatrix([[1e200, -1e200, 0.0], [1e200, 1e200, 1.0]])
+        with np.errstate(over="ignore"):  # the products overflow
+            sensors = build_measurement(cand, (1, 2))
+            info = fisher_info(sensors)
+        assert np.isnan(info._criteria.eigvals).all()
+        with pytest.raises(SingularInformationError):
+            trace_inv_index(info)
+        with pytest.raises(SingularInformationError):
+            estimate(sensors, np.ones(2))
+        assert np.isnan(det_index(info))  # and no "invalid value" warning
+
+    def test_an_inf_entry_is_singular(self):
+        info = FisherInfo(Regime.OVER, np.array([[np.inf, 1.0], [1.0, 1.0]]))
+        assert np.isnan(info._criteria.eigvals).all()
+        assert fisher._singular(info._criteria.eigvals)
+        with pytest.raises(SingularInformationError):
+            trace_inv_index(info)
+
+    def test_a_stack_flags_only_its_nan_member(self):
+        w = np.array([[1.0, 2.0], [np.nan, np.nan], [0.0, 1.0]])
+        assert fisher._singular(w).tolist() == [False, True, True]
+
+
 class TestEstimate:
     def test_identity(self):
         cand = CandidateMatrix(np.eye(2))

@@ -20,7 +20,6 @@ from sensorsel import (
     check_submodular,
     counterexample_report,
     default_epsilon,
-    det_index,
     fisher_info,
     min_eig_index,
     nemhauser_check,
@@ -100,16 +99,8 @@ class TestEvaluate:
         assert obj.evaluate((1, 2, 3, 4)) == pytest.approx(oracle, rel=1e-10)
 
     def test_empty_set_conventions(self, cx):
-        eps = 1e-3
-        assert SetObjective(ObjectiveKind.D_EPS, cx, eps).evaluate(()) == eps**3
         assert SetObjective(ObjectiveKind.E_RAW, cx).evaluate(()) == 0.0
-        assert SetObjective(ObjectiveKind.E_GRAM_ROW, cx).evaluate(()) == 0.0
         assert SetObjective(ObjectiveKind.MODULAR_NORM, cx).evaluate(()) == 0.0
-
-    def test_e_gram_row_uses_row_gram_regardless_of_size(self, cx):
-        obj = SetObjective(ObjectiveKind.E_GRAM_ROW, cx)
-        # 5 rows of a rank-3 matrix: the 5x5 row Gram is singular
-        assert obj.evaluate((1, 2, 3, 4, 5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_epsilon_default_is_scale_of_largest_row(self, cx):
         assert default_epsilon(cx) == pytest.approx(1e-6 * 0.43, rel=1e-12)
@@ -122,9 +113,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan], ids=["inf", "nan"])
     def test_epsilon_must_be_finite(self, cx, eps):
-        for kind in (ObjectiveKind.A_EPS, ObjectiveKind.D_EPS):
-            with pytest.raises(ValueError, match="positive and finite"):
-                SetObjective(kind, cx, eps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SetObjective(ObjectiveKind.A_EPS, cx, eps)
 
     def test_regularized_values_are_fisher_indices(self, cx):
         eps, subset = 1e-3, (2, 4, 5)
@@ -132,7 +122,6 @@ class TestEvaluate:
         info = FisherInfo(Regime.OVER, (c.T @ c + (c.T @ c).T) / 2.0 + eps * np.eye(3))
         a_eps = SetObjective(ObjectiveKind.A_EPS, cx, eps).evaluate(subset)
         assert a_eps == 3 / eps - trace_inv_index(info)
-        assert SetObjective(ObjectiveKind.D_EPS, cx, eps).evaluate(subset) == det_index(info)
 
     def test_a_eps_at_rounding_level_epsilon_is_singular(self, cx):
         with pytest.raises(SingularInformationError):
@@ -203,12 +192,6 @@ class TestCheckers:
         r = cx.r
         oversampled = [(s, t) for s, t in rep.violations_monotone if len(s) > r]
         assert oversampled == []
-
-    def test_e_gram_row_not_monotone_across_regimes(self):
-        rows = np.array([[1.0, 0.0], [0.0, 0.01]])
-        obj = SetObjective(ObjectiveKind.E_GRAM_ROW, CandidateMatrix(rows))
-        rep = check_monotone(obj, max_set_size=2)
-        assert ((1,), (1, 2)) in rep.violations_monotone
 
     def test_a_eps_monotone_everywhere(self, cx):
         rep = check_monotone(SetObjective(ObjectiveKind.A_EPS, cx, 1e-3), max_set_size=5)
