@@ -285,7 +285,7 @@ def _load_raw(path: Path) -> SnapshotData:
 
 
 def save_snapshots(data: SnapshotData, path: str | Path, fmt: SnapshotFormat) -> None:
-    """Write a snapshot file."""
+    """Write a snapshot file; CSV cannot carry a mask, nor RAW_F64 a grid (``ValueError``)."""
     path = Path(path)
     if fmt is SnapshotFormat.CSV:
         if data.mask is not None:
@@ -298,6 +298,8 @@ def save_snapshots(data: SnapshotData, path: str | Path, fmt: SnapshotFormat) ->
             lines.append(",".join(f"{v:.17g}" for v in data.X[:, j]))
         path.write_text("\n".join(lines) + "\n")
     else:
+        if data.grid is not None:
+            raise ValueError("the RAW_F64 format cannot carry a grid")
         flags = 1 if data.mask is not None else 0
         parts = [_HEADER.pack(_MAGIC, _VERSION, data.n, data.m, flags)]
         if data.mask is not None:
@@ -353,18 +355,21 @@ def _leading_svd(data: SnapshotData, r: int) -> tuple[np.ndarray, np.ndarray, np
 
         tall = x.shape[0] >= x.shape[1]
         a = x if tall else x.T
-        normal = data.gram if tall else a.T @ a
-        v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(a.shape[1])
-        try:
-            _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-        else:
-            # one block step on a itself, leading column first, then Rayleigh-Ritz
-            v, _ = np.linalg.qr(a.T @ (a @ v[:, ::-1]))
-            w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
-            if s[-1] > _ARPACK_MIN_RATIO * s[0]:
-                return (w, s, zt @ v.T) if tall else (v @ zt.T, s, w.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            normal = data.gram if tall else a.T @ a
+        # |G_ij| <= sqrt(G_ii G_jj), so a finite diagonal means that no entry overflowed
+        if np.isfinite(np.diagonal(normal)).all():
+            v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(a.shape[1])
+            try:
+                _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
+            except scipy.sparse.linalg.ArpackError:
+                pass
+            else:
+                # one block step on a itself, leading column first, then Rayleigh-Ritz
+                v, _ = np.linalg.qr(a.T @ (a @ v[:, ::-1]))
+                w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
+                if s[-1] > _ARPACK_MIN_RATIO * s[0]:
+                    return (w, s, zt @ v.T) if tall else (v @ zt.T, s, w.T)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     return u[:, :r], s[:r], vt[:r, :]
 

@@ -17,6 +17,7 @@ singular) and clamps the least eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -151,11 +152,6 @@ def _validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
     return idx
 
 
-def _sym(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric part of a product whose factors are not each other's transposes."""
-    return (matrix + matrix.T) / 2.0
-
-
 def _gram(c: np.ndarray) -> np.ndarray:
     """Regime Gram matrix of a measurement ``c`` (p, r), or of each in a stack:
     ``C C^T`` when p <= r, else ``C^T C``."""
@@ -223,14 +219,6 @@ def _criteria(gram: np.ndarray) -> _Criteria:
     min_eig = w[..., 0].copy()
     min_eig[abs(lam) <= EPS_SINGULAR * abs(top)] = 0.0
     return _Criteria(w, np.add.reduce(1.0 / finite, axis=-1), min_eig)
-
-
-def _solve_gram(info: FisherInfo, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``info.matrix @ x = rhs`` by ``np.linalg.solve`` once the Gram
-    passes the singularity test, which leaves it positive definite with a
-    condition number below ``1 / EPS_SINGULAR``; no inverse is formed."""
-    _require_nonsingular(info._criteria.eigvals)
-    return np.linalg.solve(info.matrix, rhs)
 
 
 def _pinv_apply(c: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -313,43 +301,18 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     return _pinv_apply(s.measurement, s.info.matrix, y)
 
 
-def error_covariance(
-    s: SensorSet,
-    noise: NoiseModel,
-    prior_zz: np.ndarray | None = None,
-) -> np.ndarray:
-    """Covariance of the estimation error ``z - z_hat`` in latent coordinates.
+def error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
+    """Covariance of the estimation error ``z - z_hat`` in latent coordinates
+    for unit-variance latent states: ``(I - P_C) + sigma^2 C^T (C C^T)^-2 C``,
+    ``P_C = C^T (C C^T)^-1 C``, while p <= r, and ``sigma^2 (C^T C)^-1`` past r.
 
-    UNDER regime:
-    ``(I - P_C) E[z z^T] (I - P_C) + sigma^2 C^T (C C^T)^-2 C`` with
-    ``P_C = C^T (C C^T)^-1 C``.  OVER regime: ``sigma^2 (C^T C)^-1``.
-
-    Parameters
-    ----------
-    prior_zz : (r, r) array_like, optional
-        Second-moment matrix of the latent prior, used only in the UNDER
-        regime.  Defaults to the identity (unit-variance latent states).
+    Both are ``(I - C^+ C)(I - C^+ C)^T + sigma^2 C^+ C^+^T`` for the map
+    ``C^+`` of :func:`estimate` (``C^+ C = I`` past r), symmetric as computed.
+    A Gram that fails the singularity test raises ``SingularInformationError``.
     """
-    c = s.measurement
-    r = s.r
-    sig2 = noise.sigma**2
-    if s.regime is Regime.OVER:
-        return _sym(sig2 * _solve_gram(s.info, np.eye(r)))
-    if prior_zz is None:
-        prior = np.eye(r)
-    else:
-        prior = np.asarray(prior_zz, dtype=float)
-        if prior.shape != (r, r):
-            raise ValueError(f"prior_zz must be {r}x{r}, got {prior.shape}")
-        if not np.allclose(prior, prior.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(prior).max())):
-            raise ValueError("prior_zz must be symmetric")
-        wp = _eigvalsh(_sym(prior))
-        if wp[0] < -EPS_SINGULAR * max(wp[-1], 1.0):
-            raise ValueError("prior_zz must be positive semidefinite")
-    k = _solve_gram(s.info, c)  # (C C^T)^-1 C, p x r
-    proj = c.T @ k
-    residual = np.eye(r) - proj
-    return _sym(residual @ prior @ residual + sig2 * (k.T @ k))
+    pinv = estimate(s, np.eye(s.p))
+    residual = np.eye(s.r) - pinv @ s.measurement
+    return residual @ residual.T + noise.sigma**2 * (pinv @ pinv.T)
 
 
 def observable_transform(s: SensorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -379,43 +342,41 @@ def observable_transform(s: SensorSet) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def observable_error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
-    """Error covariance restricted to the observable subspace.
-
-    UNDER regime returns the p x p matrix ``sigma^2 U_C^T (C C^T)^-1 U_C``;
-    OVER regime the r x r matrix ``sigma^2 V_C^T (C^T C)^-1 V_C``.  Either
-    way the eigenvalues equal those of ``sigma^2 (Gram)^-1``.
-
-    Raises
-    ------
-    RankDeficientError
-        If C lacks full row rank (UNDER) or full column rank (OVER).
-    SingularInformationError
-        If the Gram matrix fails the singularity test.
+    """Error covariance in the observable coordinates of :func:`observable_transform`:
+    the diagonal ``sigma^2 / s_j^2`` over the singular values ``s_j`` of C,
+    descending (p x p while p <= r, r x r past r), the eigenvalues of
+    ``sigma^2 (Gram)^-1``.  Raises ``RankDeficientError`` if the squared
+    singular values fail the singularity test of the Gram.
     """
-    u, svals, v = observable_transform(s)
-    smax = svals[0] if svals.size else 0.0
-    smin = svals[-1] if svals.size else 0.0
-    if smin**2 <= EPS_SINGULAR * smax**2:
+    try:
+        svals = np.linalg.svd(s.measurement, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(str(exc)) from exc
+    if _singular(svals[::-1] ** 2):
         raise RankDeficientError(
-            f"measurement matrix is rank deficient (sigma_min {smin:.3e})"
+            f"measurement matrix is rank deficient (sigma_min {svals[-1]:.3e})"
         )
-    w = u if s.regime is Regime.UNDER else v
-    return _sym(noise.sigma**2 * (w.T @ _solve_gram(s.info, w)))
+    return np.diag(noise.sigma**2 / svals**2)
 
 
 def reconstruction_error(z_true: np.ndarray, z_est: np.ndarray) -> float:
-    """Relative Frobenius error ``||z_est - z_true||_F / ||z_true||_F``.
-
-    Raises
-    ------
-    ZeroReferenceError
-        If ``z_true`` has zero norm.
+    """Relative Frobenius error ``||z_est - z_true||_F / ||z_true||_F``, also where
+    the squares leave the float range; ``ZeroReferenceError`` if ``z_true`` is zero.
     """
     zt = np.asarray(z_true, dtype=float)
     ze = np.asarray(z_est, dtype=float)
     if zt.shape != ze.shape:
         raise ValueError(f"shape mismatch: {zt.shape} vs {ze.shape}")
-    denom = float(np.linalg.norm(zt))
+    with np.errstate(over="ignore"):  # only a ratio past the float range reads inf
+        num, denom = float(np.linalg.norm(ze - zt)), float(np.linalg.norm(zt))
+        if not (math.isfinite(num) and 0.0 < denom < math.inf):
+            # a square over- or underflowed: take both norms again on the inputs
+            # scaled by powers of two (exact, so the ratio keeps its bits)
+            top = np.abs(zt).max(initial=0.0)
+            ez = np.frexp(top)[1]
+            e = np.frexp(max(top, np.abs(ze).max(initial=0.0)))[1]
+            num = float(np.ldexp(np.linalg.norm(np.ldexp(ze, -e) - np.ldexp(zt, -e)), e - ez))
+            denom = float(np.linalg.norm(np.ldexp(zt, -ez)))
     if denom == 0.0:
         raise ZeroReferenceError("true latent matrix has zero norm")
-    return float(np.linalg.norm(ze - zt)) / denom
+    return num / denom

@@ -423,6 +423,20 @@ def reference_cells(cand, indices, z_true, y):
     return [repr(v) for v in (*values, reconstruction_error(z_true, estimate(s, y)))]
 
 
+def test_cv_on_snapshots_whose_squares_overflow(tmp_path, capfd):
+    # entries around 1e200: the normal matrix and the squared norms overflow
+    x = np.random.Generator(np.random.PCG64(0)).standard_normal((300, 100)) * 1e200
+    path = tmp_path / "big.raw"
+    save_snapshots(SnapshotData(x), path, SnapshotFormat.RAW_F64)
+    out = tmp_path / "out"
+    argv = ["cv", "--data", str(path), "--format", "raw", "--r", "3", "--k", "2"]
+    assert main([*argv, "--p-max", "4", "--methods", "dg,ag", "--out", str(out)]) == 0
+    assert capfd.readouterr() == (f"wrote {out / 'cv.csv'}, {out / 'cv_summary.csv'}\n", "")
+    rows = read_csv(out / "cv.csv")
+    column = rows[0].index("recon_error")
+    assert len(rows) == 17 and all(np.isfinite(float(row[column])) for row in rows[1:])
+
+
 class TestBatchEvaluation:
     """The stacked evaluation gives every record the bits of the per-record path."""
 
@@ -869,6 +883,9 @@ class TestMainExitCodes:
             pytest.param(["cv", "--data", "snap.raw"], "sigma=0.1\n", id="cv-file-sigma"),
             pytest.param(["cv", "--data", "snap.raw"], "mode=random\n", id="cv-file-mode"),
             pytest.param(["random", "--n", "abc"], None, id="random-n-abc"),
+            pytest.param(["random", "--n", "0"], None, id="random-n-zero"),
+            pytest.param(["cv", "--data", "snap.raw", "--r", "2", "--k", "1"], None, id="cv-one-fold"),
+            pytest.param(["random"], "n=40\nr 4\n", id="random-file-line-without-equals"),
             pytest.param(["random", "--seed", "-1"], None, id="random-seed-negative"),
             pytest.param(["cv", "--data", "snap.raw", "--format", "bogus"], None, id="cv-format"),
             pytest.param(["select", "--data", "cand.csv", "--p", "0"], None, id="select-p-0"),

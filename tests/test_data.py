@@ -8,6 +8,7 @@ from sensorsel import (
     DataError,
     FoldError,
     FormatError,
+    PodModel,
     RankOutOfRangeError,
     SnapshotData,
     SnapshotFormat,
@@ -92,6 +93,15 @@ class TestCsvFormat:
         with pytest.raises(ValueError):
             save_snapshots(data, tmp_path / "m.csv", SnapshotFormat.CSV)
 
+    def test_round_trip_with_a_grid(self, tmp_path):
+        x = np.random.default_rng(2).standard_normal((6, 3))
+        path = tmp_path / "grid.csv"
+        save_snapshots(SnapshotData(x, grid=(2, 3)), path, SnapshotFormat.CSV)
+        assert path.read_text().splitlines()[0] == "6,3,2,3"
+        back = load_snapshots(path, SnapshotFormat.CSV)
+        assert back.grid == (2, 3)
+        np.testing.assert_array_equal(back.X, x)
+
 
 class TestRawFormat:
     def test_single_column(self, tmp_path):
@@ -171,6 +181,12 @@ class TestRawFormat:
         path.write_bytes(raw_header(2, 1, flags=6) + b"\0" * 16)
         with pytest.raises(FormatError, match=r"flags\.raw: unknown header flags 0x6"):
             load_snapshots(path, SnapshotFormat.RAW_F64)
+
+    def test_grid_not_representable(self, tmp_path):
+        data = SnapshotData(np.ones((6, 2)), grid=(2, 3))
+        with pytest.raises(ValueError, match="RAW_F64 format cannot carry a grid"):
+            save_snapshots(data, tmp_path / "g.raw", SnapshotFormat.RAW_F64)
+        assert not (tmp_path / "g.raw").exists()
 
 
     @pytest.mark.parametrize("fmt", list(SnapshotFormat))
@@ -476,6 +492,19 @@ class TestPodArpack:
         assert_same_pod(pod, x, 4)
 
 
+class TestPodOverflow:
+    """Snapshots scaled by 1e200, whose normal matrix overflows."""
+
+    x = np.random.Generator(np.random.PCG64(0)).standard_normal((300, 100)) * 1e200
+
+    def test_lapack_takes_it_without_a_word(self, capfd, arpack_calls):
+        # 300 x 100 at r = 3 is Lanczos-sized, but its normal matrix is not finite
+        pod = pod_truncate(SnapshotData(self.x), 3)
+        assert capfd.readouterr() == ("", "")
+        assert arpack_calls == []
+        assert np.array_equal(pod.singular_values, np.linalg.svd(self.x, full_matrices=False)[1][:3])
+
+
 class TestKfold:
     def test_520_snapshots_split_into_five_equal_segments(self):
         plan = kfold(520, 5)
@@ -544,3 +573,38 @@ class TestGenerators:
         cand, locations = sensor_candidates(pod)
         assert cand.n == 5
         np.testing.assert_array_equal(locations, [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda tmp: SnapshotData(np.ones(3)), ValueError, "2-D and nonempty"),
+        (lambda tmp: SnapshotData(np.ones((3, 2)), mask=[True, False]), ValueError, r"shape \(3,\)"),
+        (lambda tmp: SnapshotData(np.ones((6, 2)), grid=(2, 2)), ValueError, "does not cover n=6"),
+        (
+            lambda tmp: PodModel(1, np.ones((2, 1)) / np.sqrt(2), np.array([1.0]), np.ones((2, 1))),
+            ValueError,
+            "temporal columns are not orthonormal",
+        ),
+        (
+            lambda tmp: PodModel(2, np.eye(2), np.array([1.0, 2.0]), np.eye(2)),
+            ValueError,
+            "nonincreasing",
+        ),
+        (lambda tmp: gen_random_system(0, 2, seed=0), ValueError, "n=0"),
+        (lambda tmp: gen_latent(2, 0, seed=0), ValueError, "m=0"),
+        (
+            lambda tmp: load_snapshots(tmp / "x.raw", SnapshotFormat.RAW_F64),
+            FormatError,
+            "dimensions must be positive, got n=0",
+        ),
+    ],
+    ids=[
+        "snapshots-not-2d", "mask-shape", "grid-not-covering", "pod-not-orthonormal",
+        "pod-increasing", "random-system-size", "latent-size", "raw-header-n0",
+    ],
+)
+def test_a_malformed_input_raises(tmp_path, call, error, match):
+    (tmp_path / "x.raw").write_bytes(raw_header(0, 1))
+    with pytest.raises(error, match=match):
+        call(tmp_path)

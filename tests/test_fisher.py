@@ -320,14 +320,14 @@ class TestErrorCovariance:
 
     def test_unobservable_component_keeps_prior_variance(self):
         s = build_measurement(CandidateMatrix(np.array([[1.0, 0.0]])), [1])
-        cov = error_covariance(s, NoiseModel(0.0), prior_zz=np.eye(2))
+        cov = error_covariance(s, NoiseModel(0.0))
         np.testing.assert_allclose(cov, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_regime_branches_coincide_at_p_equal_r(self):
         # at p = r both formulas describe the same full-rank problem
         cand = gaussian_candidates(6, 4, seed=8)
         s = build_measurement(cand, [1, 2, 3, 4])
-        under = error_covariance(s, NoiseModel(1.3), prior_zz=np.eye(4))
+        under = error_covariance(s, NoiseModel(1.3))
         c = s.measurement
         over = 1.3**2 * np.linalg.inv(c.T @ c)
         np.testing.assert_allclose(under, over, rtol=1e-8, atol=1e-10)
@@ -376,6 +376,37 @@ class TestObservableErrorCovariance:
         np.testing.assert_allclose(u1 @ smat @ v1.T, s.measurement, atol=1e-12)
 
 
+class TestCovarianceForms:
+    @pytest.mark.parametrize("p", [2, 4, 7])
+    def test_latent_covariance_is_the_regime_formula(self, p):
+        # r = 4: UNDER, p = r and OVER, against the textbook formula of each regime
+        s = build_measurement(gaussian_candidates(9, 4, seed=40), range(1, p + 1))
+        c, sigma = s.measurement, 0.7
+        if p <= 4:
+            k = np.linalg.inv(c @ c.T) @ c
+            residual = np.eye(4) - c.T @ k
+            want = residual @ residual + sigma**2 * (k.T @ k)
+        else:
+            want = sigma**2 * np.linalg.inv(c.T @ c)
+        cov = error_covariance(s, NoiseModel(sigma))
+        np.testing.assert_allclose(cov, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(cov, cov.T)  # symmetric as computed
+
+    def test_latent_covariance_of_a_singular_gram_raises(self):
+        s = build_measurement(CandidateMatrix(np.array([[1.0, 0.0], [2.0, 0.0]])), [1, 2])
+        with pytest.raises(SingularInformationError):
+            error_covariance(s, NoiseModel(1.0))
+
+    @pytest.mark.parametrize("p", [2, 4, 7])
+    def test_observable_covariance_is_exactly_diagonal(self, p):
+        s = build_measurement(gaussian_candidates(9, 4, seed=41), range(1, p + 1))
+        cov = observable_error_covariance(s, NoiseModel(0.5))
+        assert cov.shape == (min(p, 4),) * 2
+        assert np.array_equal(cov, np.diag(np.diagonal(cov)))
+        gram_eigs = np.linalg.eigvalsh(fisher_info(s).matrix)[::-1]  # descending, as the svals
+        np.testing.assert_allclose(np.diagonal(cov), 0.25 / gram_eigs, rtol=1e-12)
+
+
 class TestReconstructionError:
     def test_exact(self):
         assert reconstruction_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
@@ -389,6 +420,38 @@ class TestReconstructionError:
     def test_zero_reference_raises(self):
         with pytest.raises(ZeroReferenceError):
             reconstruction_error(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700], ids=["overflow", "underflow"])
+    def test_squares_past_the_float_range_keep_the_bits(self, scale):
+        # the squares of 2**700 overflow and those of 2**-700 underflow
+        rng = np.random.default_rng(42)
+        z = rng.standard_normal((5, 3))
+        z_est = z + 0.1 * rng.standard_normal((5, 3))
+        assert reconstruction_error(scale * z, scale * z_est) == reconstruction_error(z, z_est)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: CandidateMatrix(np.ones(3)), "must be 2-D"),
+        (lambda: CandidateMatrix(np.ones((0, 2))), "at least 1x1"),
+        (lambda: CandidateMatrix(np.array([[1.0, np.inf]])), "non-finite"),
+        (lambda: NoiseModel(-1.0), "sigma must be >= 0"),
+        (lambda: build_measurement(CandidateMatrix(np.eye(2)), ()), "at least one sensor"),
+        (
+            lambda: estimate(build_measurement(CandidateMatrix(np.eye(2)), [1, 2]), np.ones(3)),
+            "expected p=2",
+        ),
+        (lambda: reconstruction_error(np.ones(2), np.ones(3)), "shape mismatch"),
+    ],
+    ids=[
+        "candidates-not-2d", "candidates-empty", "candidates-non-finite", "negative-sigma",
+        "no-sensor", "estimate-y-length", "reconstruction-shapes",
+    ],
+)
+def test_a_malformed_input_is_a_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestSpectralInvariants:

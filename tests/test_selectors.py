@@ -581,6 +581,12 @@ class TestSharedProperties:
         assert len(res.indices) == 2
 
 
+@pytest.mark.parametrize("select", [select_dg, select_ag, select_eg], ids=["dg", "ag", "eg"])
+def test_zero_sensors_is_a_value_error(select):
+    with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+        select(gaussian_candidates(6, 3, seed=0), 0)
+
+
 class TestDegenerateInputs:
     """With at most r rows selected, every greedy selector skips the rows
     that add no direction and raises when no other row is left."""
