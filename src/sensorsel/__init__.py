@@ -63,7 +63,6 @@ from .submod import (
     check_submodular,
     counterexample_matrix,
     counterexample_report,
-    default_epsilon,
     nemhauser_check,
 )
 from .data import (

@@ -54,7 +54,7 @@ class ExperimentConfig:
     methods: list[Method] = field(default_factory=lambda: list(_METHOD_CODE))
     data_path: str | None = None
     data_format: data_mod.SnapshotFormat = data_mod.SnapshotFormat.CSV
-    epsilon: float | None = None
+    epsilon: float = 1e-3
     sigma: float = 0.0
     out_dir: str = "out"
 
@@ -65,7 +65,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "submod":
-            if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            if not 0 < self.epsilon < np.inf:
                 raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
             return
         if self.p_min < 1 or self.p_min > self.p_max:
@@ -355,7 +355,6 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     if cfg.mode != "submod":
         raise ConfigError(f"run_submod_report called with mode {cfg.mode!r}")
     cfg.validate()
-    eps = cfg.epsilon if cfg.epsilon is not None else 1e-3
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sections: list[str] = []
@@ -366,14 +365,14 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
 
     cx = submod.counterexample_matrix()
     cases = [
-        ("a_eps embedded", submod.SetObjective(submod.ObjectiveKind.A_EPS, cx, eps)),
+        ("a_eps embedded", submod.SetObjective(submod.ObjectiveKind.A_EPS, cx, cfg.epsilon)),
         ("e_raw embedded", submod.SetObjective(submod.ObjectiveKind.E_RAW, cx)),
         ("modular_norm embedded", submod.SetObjective(submod.ObjectiveKind.MODULAR_NORM, cx)),
     ]
     for j in range(5):
         rnd = data_mod.gen_random_system(7, 3, derive_seed(cfg.seed, 10, j))
         cases.append(
-            (f"a_eps random{j}", submod.SetObjective(submod.ObjectiveKind.A_EPS, rnd, eps))
+            (f"a_eps random{j}", submod.SetObjective(submod.ObjectiveKind.A_EPS, rnd, cfg.epsilon))
         )
     for label, obj in cases:
         with _naming_case(f"case={label}"):
@@ -395,7 +394,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     for j in range(5):
         cand = data_mod.gen_random_system(12, 3, derive_seed(cfg.seed, 20, j))
         with _naming_case(f"bound instance={j}"):
-            res = submod.nemhauser_check(cand, p=3, epsilon=eps)
+            res = submod.nemhauser_check(cand, p=3, epsilon=cfg.epsilon)
         bound_rows.append([j, repr(res.greedy_value), repr(res.opt_value), repr(res.ratio)])
         sections.append(
             f"greedy bound instance {j}: greedy={res.greedy_value!r} "
@@ -424,7 +423,8 @@ def run_select(args: argparse.Namespace) -> int:
     valid = np.ones(snapshots.n, dtype=bool) if snapshots.mask is None else snapshots.mask
     locations = np.flatnonzero(valid) + 1
     cand = fisher.CandidateMatrix(snapshots.X[valid])
-    result = run_selector(cand, args.p, method, seed=seed, criterion=criterion)
+    with _naming_case(f"method={method.value} p={args.p}"):
+        result = run_selector(cand, args.p, method, seed=seed, criterion=criterion)
     print(" ".join(str(locations[i - 1]) for i in result.indices))
     return 0
 

@@ -77,10 +77,6 @@ class CandidateMatrix:
     def r(self) -> int:
         return self.rows.shape[1]
 
-    def row_norms_sq(self) -> np.ndarray:
-        """Squared Euclidean norm of each candidate row."""
-        return np.einsum("ij,ij->i", self.rows, self.rows)
-
     def take(self, indices: Sequence[int]) -> np.ndarray:
         """Stack rows ``indices`` (1-based, order preserved) into a p x r array."""
         idx = _validated_indices(indices, self.n)
@@ -345,18 +341,21 @@ def observable_error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
     """Error covariance in the observable coordinates of :func:`observable_transform`:
     the diagonal ``sigma^2 / s_j^2`` over the singular values ``s_j`` of C,
     descending (p x p while p <= r, r x r past r), the eigenvalues of
-    ``sigma^2 (Gram)^-1``.  Raises ``RankDeficientError`` if the squared
-    singular values fail the singularity test of the Gram.
+    ``sigma^2 (Gram)^-1``, 0 or ``inf`` where they leave the float range.
+    Raises ``RankDeficientError`` if the squared singular values, taken
+    relative to the largest so that the test is free of scale, fail the
+    singularity test of the Gram.
     """
     try:
         svals = np.linalg.svd(s.measurement, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(str(exc)) from exc
-    if _singular(svals[::-1] ** 2):
-        raise RankDeficientError(
-            f"measurement matrix is rank deficient (sigma_min {svals[-1]:.3e})"
-        )
-    return np.diag(noise.sigma**2 / svals**2)
+    with np.errstate(all="ignore"):  # an all-zero C reads NaN and fails the test
+        if _singular((svals[::-1] / svals[0]) ** 2):
+            raise RankDeficientError(
+                f"measurement matrix is rank deficient (sigma_min {svals[-1]:.3e})"
+            )
+        return np.diag(noise.sigma**2 / svals**2)
 
 
 def reconstruction_error(z_true: np.ndarray, z_est: np.ndarray) -> float:

@@ -60,14 +60,10 @@ class ObjectiveKind(Enum):
     MODULAR_NORM = "modular_norm"  # sum of squared row norms (test fixture)
 
 
-def default_epsilon(cand: CandidateMatrix) -> float:
-    """Scale-free regularization default: 1e-6 times the largest squared row norm."""
-    return 1e-6 * float(cand.row_norms_sq().max())
-
-
 @dataclass(frozen=True)
 class SetObjective:
-    """One of the selection objectives viewed as a set function on {1..n}."""
+    """One of the selection objectives viewed as a set function on {1..n};
+    ``A_EPS`` needs a positive, finite ``epsilon``, which the others ignore."""
 
     kind: ObjectiveKind
     cand: CandidateMatrix
@@ -75,12 +71,9 @@ class SetObjective:
 
     def __post_init__(self) -> None:
         if self.kind is ObjectiveKind.A_EPS:
-            eps = self.epsilon
-            if eps is None:
-                eps = default_epsilon(self.cand)
-            if not 0.0 < eps < np.inf:
-                raise ValueError(f"epsilon must be positive and finite, got {eps}")
-            object.__setattr__(self, "epsilon", float(eps))
+            if not 0.0 < (self.epsilon or 0.0) < np.inf:
+                raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
 
     def evaluate(self, subset: Iterable[int]) -> float:
         """Set-function value on ``subset`` (1-based indices, order ignored):
@@ -170,25 +163,19 @@ def _subset_table(obj: SetObjective, max_size: int) -> tuple[list[tuple[int, ...
 
     Bit ``i`` of a mask stands for index ``i + 1``; masks of more than
     ``max_size`` elements are not evaluated and hold NaN.  The subsets of
-    each size are scored by one :meth:`SetObjective.values` call; if one
-    fails, they are evaluated one by one in mask order, so that the first
-    failure in mask order is raised.
+    each size are scored by one :meth:`SetObjective.values` call, smallest
+    size first and in mask order within a size, so the failure raised is
+    the first in that order.
     """
     subsets: list[tuple[int, ...]] = [()]
     for i in range(1, obj.cand.n + 1):
         subsets += [s + (i,) for s in subsets]
     sizes = np.fromiter(map(len, subsets), np.intp, len(subsets))
     values = np.full(len(subsets), np.nan)
-    try:
-        for k in range(max_size + 1):
-            masks = np.flatnonzero(sizes == k)
-            idx = np.array([subsets[m] for m in masks], dtype=np.intp).reshape(len(masks), k)
-            values[masks] = obj.values(idx)
-    except NumericalError:
-        for sub in subsets:
-            if len(sub) <= max_size:
-                obj.evaluate(sub)
-        raise
+    for k in range(max_size + 1):
+        masks = np.flatnonzero(sizes == k)
+        idx = np.array([subsets[m] for m in masks], dtype=np.intp).reshape(len(masks), k)
+        values[masks] = obj.values(idx)
     return subsets, values
 
 

@@ -989,6 +989,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert case in err and "Gram matrix is singular" in err
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("dg", []), ("ag", []), ("eg", []), ("brute", ["--criterion", "a"])],
+        ids=["dg", "ag", "eg", "brute"],
+    )
+    def test_select_failure_names_the_method_and_p(self, tmp_path, capsys, method, flags):
+        # the tiny-row rows: every greedy method fails at step 4, and the one 4-subset is singular
+        path = tmp_path / "tiny.csv"
+        save_snapshots(SnapshotData(tiny_row_candidates().rows), path, SnapshotFormat.CSV)
+        assert main(["select", "--data", str(path), "--method", method, "--p", "4", *flags]) == 4
+        assert capsys.readouterr().err.startswith(f"numerical failure: method={method} p=4: ")
+
     def test_submod_failure_names_the_objective(self, tmp_path, capsys):
         argv = ["submod", "--epsilon", "1e-30", "--out", str(tmp_path)]
         assert main(argv) == 4

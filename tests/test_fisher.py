@@ -360,6 +360,26 @@ class TestObservableErrorCovariance:
         with pytest.raises(RankDeficientError):
             observable_error_covariance(s, NoiseModel(1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale, want",
+        [(1e200, 0.0), (1e-200, np.inf), (2.0**700, 0.0), (2.0**-700, np.inf)],
+        ids=["1e200", "1e-200", "2^700", "2^-700"],
+    )
+    def test_squares_past_the_float_range_pass_the_rank_test(self, scale, want):
+        # C has condition number 6.7, but the squares of its singular values
+        # overflow or underflow; sigma^2 / s^2 rounds to 0 or inf
+        c = scale * np.random.default_rng(0).standard_normal((4, 3))
+        s = build_measurement(CandidateMatrix(c), range(1, 5))
+        cov = observable_error_covariance(s, NoiseModel(1.0))
+        np.testing.assert_array_equal(cov, np.diag([want] * 3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_all_zero_measurement_is_rank_deficient(self):
+        s = build_measurement(CandidateMatrix(np.zeros((4, 3))), range(1, 5))
+        with pytest.raises(RankDeficientError):
+            observable_error_covariance(s, NoiseModel(1.0))
+
     def test_sign_convention_deterministic(self):
         cand = gaussian_candidates(7, 4, seed=9)
         s = build_measurement(cand, [1, 3, 5])

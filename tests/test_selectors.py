@@ -19,6 +19,7 @@ from sensorsel import (
     build_measurement,
     det_index,
     fisher_info,
+    gen_random_system,
     min_eig_index,
     run_selector,
     select_ag,
@@ -271,6 +272,26 @@ class TestEGPruning:
         # the slack's floor (the least normal float) and squares near the
         # float range
         assert_eg_equals_unpruned(scale * gaussian_candidates(15, 3, seed=73 + seed).rows)
+
+    def test_few_rows_are_scored_exactly(self, monkeypatch):
+        # exactness alone would pass a bound that never prunes, which scores
+        # all 500 rows at every step; the bounds leave about one block of 8
+        real = selectors._scores_that_can_win
+        scored = []
+
+        def counting(upper, exact, excluded):
+            def counted(idx):
+                scored[-1] += len(idx)
+                return exact(idx)
+
+            scored.append(0)
+            return real(upper, counted, excluded)
+
+        monkeypatch.setattr(selectors, "_scores_that_can_win", counting)
+        for seed in range(5):
+            select_eg(gen_random_system(500, 10, seed), 20)
+        assert len(scored) == 5 * 19  # every step after the first
+        assert np.mean(scored) <= 16
 
     def test_a_bound_that_is_not_finite_never_prunes(self, monkeypatch):
         monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)

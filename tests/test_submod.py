@@ -19,7 +19,6 @@ from sensorsel import (
     check_monotone,
     check_submodular,
     counterexample_report,
-    default_epsilon,
     fisher_info,
     min_eig_index,
     nemhauser_check,
@@ -102,10 +101,9 @@ class TestEvaluate:
         assert SetObjective(ObjectiveKind.E_RAW, cx).evaluate(()) == 0.0
         assert SetObjective(ObjectiveKind.MODULAR_NORM, cx).evaluate(()) == 0.0
 
-    def test_epsilon_default_is_scale_of_largest_row(self, cx):
-        assert default_epsilon(cx) == pytest.approx(1e-6 * 0.43, rel=1e-12)
-        obj = SetObjective(ObjectiveKind.A_EPS, cx)
-        assert obj.epsilon == pytest.approx(1e-6 * 0.43, rel=1e-12)
+    def test_epsilon_is_required(self, cx):
+        with pytest.raises(ValueError, match="positive and finite, got None"):
+            SetObjective(ObjectiveKind.A_EPS, cx)
 
     def test_epsilon_must_be_positive(self, cx):
         with pytest.raises(ValueError):
@@ -288,9 +286,9 @@ class TestCheckers:
             want = [obj.evaluate(sub) if len(sub) <= cap else math.nan for sub in subsets]
             assert list(map(repr, table.tolist())) == list(map(repr, want))
 
-    def test_singular_a_eps_is_named_at_the_first_subset_in_mask_order(self):
+    def test_singular_a_eps_is_named_at_the_first_subset_in_size_order(self):
         # {1, 2} (mask 3) is singular only as a pair, {3} (mask 4) alone:
-        # a scan by subset size would reach {3} first
+        # the scan by subset size reaches {3} first, though its mask is larger
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1e4, 0.0]])
         obj = SetObjective(ObjectiveKind.A_EPS, CandidateMatrix(rows), 1.5e-12)
         obj.evaluate((1,))  # {1} alone is not singular
@@ -303,7 +301,7 @@ class TestCheckers:
         for check in (check_submodular, check_monotone):
             with pytest.raises(SingularInformationError) as err:
                 check(obj, max_set_size=2)
-            assert str(err.value) == errors[(1, 2)]
+            assert str(err.value) == errors[(3,)]
 
 
 class TestValues:
@@ -405,7 +403,7 @@ class TestEpsilonConsistency:
 class TestAgreementWithSelector:
     def test_a_eps_greedy_matches_ag_for_small_epsilon(self):
         cand = gaussian_candidates(12, 3, seed=65)
-        eps = 1e-6 * float(cand.row_norms_sq().max())
+        eps = 1e-6 * float(np.einsum("ij,ij->i", cand.rows, cand.rows).max())
         obj = SetObjective(ObjectiveKind.A_EPS, cand, eps)
         p = 6
         ag = select_ag(cand, p).indices
