@@ -237,25 +237,20 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
 
 
 def run_cv(cfg: ExperimentConfig) -> tuple[Path, Path]:
-    """K-fold cross-validation on a snapshot file; returns CSV paths."""
+    """K-fold cross-validation on a snapshot file; returns CSV paths.  All
+    folds' PODs are fitted first, together; each fold's test columns are a view."""
     if cfg.mode != "cv":
         raise ConfigError(f"run_cv called with mode {cfg.mode!r}")
     cfg.validate()
     snapshots = data_mod.load_snapshots(cfg.data_path, cfg.data_format)
     plan = data_mod.kfold(snapshots.m, cfg.k)
+    folds = range(1, cfg.k + 1)
+    pods = data_mod.fold_pods(snapshots, cfg.r, [plan.train_columns(fold) for fold in folds])
+    p_values = list(range(cfg.p_min, cfg.p_max + 1))
     records: list[ExperimentRecord] = []
-    for fold in range(1, cfg.k + 1):
-        rec_fold = evaluate_fold(
-            snapshots,
-            train_cols=plan.train_columns(fold),
-            test_cols=plan.test_columns(fold),
-            r=cfg.r,
-            p_values=list(range(cfg.p_min, cfg.p_max + 1)),
-            methods=cfg.methods,
-            fold=fold,
-            seed=cfg.seed,
-        )
-        records.extend(rec_fold)
+    for fold, pod, (start, stop) in zip(folds, pods, plan.segments):
+        x_test = snapshots.X[:, start - 1 : stop]
+        records += _fold_records(snapshots, pod, x_test, p_values, cfg.methods, fold, cfg.seed)
     return _emit(records, Path(cfg.out_dir), "cv")
 
 
@@ -276,9 +271,16 @@ def evaluate_fold(
     target is the projection of the test snapshots onto the training modes
     (masked rows read as zero in both; see ``SnapshotData``).
     """
-    pod = data_mod.pod_truncate(snapshots.columns(train_cols), r)
+    (pod,) = data_mod.fold_pods(snapshots, r, [train_cols])
+    return _fold_records(snapshots, pod, snapshots.X[:, test_cols], p_values, methods, fold, seed)
+
+
+def _fold_records(
+    snapshots: data_mod.SnapshotData, pod: data_mod.PodModel, x_test: np.ndarray,
+    p_values: list[int], methods: list[Method], fold: int, seed: int,
+) -> list[ExperimentRecord]:
+    """Records of one fold from its training POD and test snapshots (see evaluate_fold)."""
     cand, locations = data_mod.sensor_candidates(pod, snapshots.mask)
-    x_test = snapshots.X[:, test_cols]
     z_true = pod.modes.T @ x_test
     seed_keys = (seed, fold, 2, _METHOD_CODE[Method.RANDOM])
     return _unit_records(

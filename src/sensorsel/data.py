@@ -31,9 +31,10 @@ entire stream on every platform.
 
 from __future__ import annotations
 
-import copy
+import os
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -70,9 +71,10 @@ class SnapshotData:
     X: np.ndarray
     mask: np.ndarray | None = None
     grid: tuple[int, int] | None = None
+    _keep_x: InitVar[bool] = False  # a loader's fresh float array is kept, not copied
 
-    def __post_init__(self) -> None:
-        x = np.array(self.X, dtype=float)
+    def __post_init__(self, _keep_x: bool) -> None:
+        x = self.X if _keep_x else np.array(self.X, dtype=float)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError(f"snapshot matrix must be 2-D and nonempty, got {x.shape}")
         mask = self.mask
@@ -86,7 +88,7 @@ class SnapshotData:
                 raise DataError("the mask marks every location invalid")
             mask.setflags(write=False)
             x[~mask] = 0.0
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates; no n x m temporary
             raise DataError("non-finite snapshot entries at valid locations")
         if self.grid is not None:
             w, h = self.grid
@@ -101,27 +103,10 @@ class SnapshotData:
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "mask", mask)
 
-    def columns(self, cols: np.ndarray) -> SnapshotData:
-        """The snapshots at the 0-based columns ``cols``, with this set's mask
-        and grid; columns of validated snapshots are not checked again.  Its
-        :attr:`gram` is read from this set's, so the folds of one file share one."""
-        sub = copy.copy(self)
-        x = self.X[:, cols]
-        x.setflags(write=False)
-        object.__setattr__(sub, "X", x)
-        sub.__dict__.pop("gram", None)  # copied with the rest of this set's attributes
-        object.__setattr__(sub, "_gram_source", (self, cols))
-        return sub
-
     @cached_property
     def gram(self) -> np.ndarray:
-        """``XᵀX`` (m x m), formed on first use; a :meth:`columns` view slices its parent's."""
-        source = self.__dict__.get("_gram_source")
-        if source is None:
-            gram = self.X.T @ self.X
-        else:
-            parent, cols = source
-            gram = parent.gram[np.ix_(cols, cols)]
+        """``XᵀX`` (m x m), formed on first use."""
+        gram = self.X.T @ self.X
         gram.setflags(write=False)
         return gram
 
@@ -260,28 +245,28 @@ def _load_csv(path: Path) -> SnapshotData:
 
 
 def _load_raw(path: Path) -> SnapshotData:
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: shorter than the {_HEADER.size}-byte header")
-    magic, version, n, m, flags = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if n < 1 or m < 1:
-        raise FormatError(f"{path}: dimensions must be positive, got n={n} m={m}")
-    if flags & ~1:
-        raise FormatError(f"{path}: unknown header flags {flags:#x}; only bit 0 (mask) is defined")
-    offset = _HEADER.size
-    need = offset + (n if flags & 1 else 0) + n * m * 8
-    if len(blob) != need:
-        raise FormatError(f"{path}: {len(blob)} bytes, but the header implies {need}")
-    mask = None
-    if flags & 1:
-        mask = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset) != 0
-        offset += n
-    flat = np.frombuffer(blob, dtype="<f8", count=n * m, offset=offset)
-    return SnapshotData(X=flat.reshape((n, m), order="F"), mask=mask)
+    with path.open("rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: shorter than the {_HEADER.size}-byte header")
+        magic, version, n, m, flags = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if n < 1 or m < 1:
+            raise FormatError(f"{path}: dimensions must be positive, got n={n} m={m}")
+        if flags & ~1:
+            raise FormatError(f"{path}: unknown header flags {flags:#x}; only bit 0 (mask) is defined")
+        need = _HEADER.size + (n if flags & 1 else 0) + n * m * 8
+        if size != need:
+            raise FormatError(f"{path}: {size} bytes, but the header implies {need}")
+        mask = np.frombuffer(f.read(n), dtype=np.uint8) != 0 if flags & 1 else None
+        x = np.empty((n, m), dtype="<f8", order="F")  # the array the set keeps: no second copy
+        if f.readinto(x.T.reshape(-1)) != n * m * 8:
+            raise FormatError(f"{path}: shorter than its header implies")
+    return SnapshotData(x, mask, _keep_x=True)
 
 
 def save_snapshots(data: SnapshotData, path: str | Path, fmt: SnapshotFormat) -> None:
@@ -321,57 +306,110 @@ def pod_truncate(data: SnapshotData, r: int) -> PodModel:
     leading eigenvectors V of the explicit normal matrix, ``XᵀX`` or
     ``XXᵀ``, whichever is smaller, from a fixed PCG64-seeded start vector,
     so reruns are bit-identical.  A tall set's ``XᵀX`` is
-    :attr:`SnapshotData.gram`, so the folds of one file share one.  The
-    explicit normal matrix loses accuracy in the trailing modes, so one
-    block step on X itself follows (``V = qr(Xᵀ(X V))``, leading vector
-    first), then the Rayleigh-Ritz step ``svd(X V)``.  Below that size the
-    full LAPACK SVD (``np.linalg.svd``) is faster and is used instead.  It
-    is also the fallback when ARPACK fails (``ArpackError``, no convergence
-    included) or when the spectrum is steep, ``σ_r <= 1e-6 σ_1``, where the
-    trailing modes drift towards the ``1e-12 σ_1`` bound (about 3e-12 σ_1
-    was seen at ``σ_1/σ_r = 1e7``).  Where the Lanczos result is kept it
-    equals the full SVD's at rounding level, not bit for bit: each ``σ_j``
-    and each mode scaled by ``σ_j`` within ``1e-12 σ_1``.
+    :attr:`SnapshotData.gram`.  The explicit normal matrix loses accuracy
+    in the trailing modes, so one block step on X itself follows
+    (``V = qr(Xᵀ(X V))``, leading vector first), then the Rayleigh-Ritz
+    step ``svd(X V)``.  Below that size the full LAPACK SVD
+    (``np.linalg.svd``) is faster and is used instead.  It is also the
+    fallback when ARPACK fails (``ArpackError``, no convergence included)
+    or when the spectrum is steep, ``σ_r <= 1e-6 σ_1``, where the trailing
+    modes drift towards the ``1e-12 σ_1`` bound (about 3e-12 σ_1 was seen
+    at ``σ_1/σ_r = 1e7``).  Where the Lanczos result is kept it equals the
+    full SVD's at rounding level, not bit for bit: each ``σ_j`` and each
+    mode scaled by ``σ_j`` within ``1e-12 σ_1``.
+
+    This is the one-set case of :func:`fold_pods`, which fits the folds of
+    a ``cv`` run together without copying their columns: a tall fold's
+    normal matrix is sliced from the file's one ``XᵀX``, and all folds'
+    block and Rayleigh-Ritz steps share three products over the whole X.
     """
-    n, m = data.n, data.m
-    if r < 1 or r > min(n, m):
-        raise RankOutOfRangeError(f"rank {r} outside [1, {min(n, m)}]")
-    u, s, vt = _leading_svd(data, r)
-    for j in range(r):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
-    return PodModel(r=r, modes=u, singular_values=s, temporal=vt.T)
+    return fold_pods(data, r, [None])[0]
 
 
-def _leading_svd(data: SnapshotData, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r leading singular triplets of ``data.X`` in nonincreasing order (see
-    pod_truncate); the normal matrix is ``data.gram`` when X is tall, ``XXᵀ`` when wide."""
-    x = data.X
-    if min(x.shape) >= _ARPACK_MIN_SIZE_PER_RANK * (2 * r + 1):
-        # loaded here, not with the package: only large snapshot matrices need it
-        import scipy.sparse.linalg
+def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) -> list[PodModel]:
+    """:func:`pod_truncate` of the snapshots at each fold's distinct 0-based
+    columns (``None``: all), fitted together; ``temporal`` rows keep the column
+    order.  The shared products also sum over the zeros at a fold's left-out
+    columns, so each POD equals pod_truncate of a copy of its columns at rounding
+    level.  Ranks are checked first, in fold order (kfold's first is narrowest)."""
+    x, n = data.X, data.n
+    cols = [slice(None) if c is None else c for c in folds]
+    widths = [data.m if c is None else len(c) for c in folds]
+    for width in widths:
+        if r < 1 or r > min(n, width):
+            raise RankOutOfRangeError(f"rank {r} outside [1, {min(n, width)}]")
+    lanczos: dict[bool, list] = {True: [], False: []}  # (fold, columns, V) of tall and wide folds
+    for k, width in enumerate(widths):
+        if min(n, width) >= _ARPACK_MIN_SIZE_PER_RANK * (2 * r + 1):
+            v = _lanczos(data, r, cols[k], tall=n >= width)
+            if v is not None:
+                lanczos[n >= width].append((k, cols[k], v))
+    triplets: dict[int, tuple] = {}
+    for tall, group in lanczos.items():
+        if group:
+            triplets.update(_subspace_step(x if tall else x.T, r, tall, group))
+    pods = []
+    for k, c in enumerate(cols):
+        if k not in triplets:  # small, overflowing, ARPACK failed or steep spectrum
+            u, s, vt = np.linalg.svd(x[:, c], full_matrices=False)
+            triplets[k] = u[:, :r].copy(), s[:r], vt[:r].copy()  # not views that keep all of u, vt
+        u, s, vt = triplets[k]
+        for j in range(r):
+            i = int(np.argmax(np.abs(u[:, j])))
+            if u[i, j] < 0.0:
+                u[:, j] = -u[:, j]
+                vt[j, :] = -vt[j, :]
+        pods.append(PodModel(r=r, modes=u, singular_values=s, temporal=vt.T))
+    return pods
 
-        tall = x.shape[0] >= x.shape[1]
-        a = x if tall else x.T
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            normal = data.gram if tall else a.T @ a
-        # |G_ij| <= sqrt(G_ii G_jj), so a finite diagonal means that no entry overflowed
-        if np.isfinite(np.diagonal(normal)).all():
-            v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(a.shape[1])
-            try:
-                _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
-            except scipy.sparse.linalg.ArpackError:
-                pass
-            else:
-                # one block step on a itself, leading column first, then Rayleigh-Ritz
-                v, _ = np.linalg.qr(a.T @ (a @ v[:, ::-1]))
-                w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
-                if s[-1] > _ARPACK_MIN_RATIO * s[0]:
-                    return (w, s, zt @ v.T) if tall else (v @ zt.T, s, w.T)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u[:, :r], s[:r], vt[:r, :]
+
+def _lanczos(data: SnapshotData, r: int, cols: np.ndarray | slice, tall: bool) -> np.ndarray | None:
+    """The r leading eigenvectors of a fold's normal matrix, leading one first;
+    None if the matrix overflows or ARPACK fails."""
+    # loaded here, not with the package: only large snapshot matrices need it
+    import scipy.sparse.linalg
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if tall:
+            normal = data.gram if isinstance(cols, slice) else data.gram[np.ix_(cols, cols)]
+        else:
+            xc = data.X[:, cols]
+            normal = xc @ xc.T
+    # |G_ij| <= sqrt(G_ii G_jj), so a finite diagonal means that no entry overflowed
+    if not np.isfinite(np.diagonal(normal)).all():
+        return None
+    v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(normal.shape[0])
+    try:
+        _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
+    except scipy.sparse.linalg.ArpackError:
+        return None
+    return v[:, ::-1]
+
+
+def _subspace_step(a: np.ndarray, r: int, tall: bool, group: list) -> Iterator[tuple[int, tuple]]:
+    """(fold, triplet) of each fold of ``group`` whose spectrum is not steep, by the block and
+    Rayleigh-Ritz steps (see pod_truncate) in three products over ``a`` (X if tall, else Xᵀ);
+    fold j owns operand columns ``j r .. (j + 1) r - 1``, zero at the snapshots it leaves out."""
+    blocks = [slice(j * r, (j + 1) * r) for j in range(len(group))]
+    inner = [cols if tall else slice(None) for _, cols, _ in group]  # fold rows of a's columns
+    outer = [slice(None) if tall else cols for _, cols, _ in group]  # and of a's rows
+
+    def stacked(parts: list[np.ndarray], rows: list, size: int) -> np.ndarray:
+        out = np.zeros((size, r * len(parts)))
+        for part, at, block in zip(parts, rows, blocks):
+            out[at, block] = part
+        return out
+
+    y = a @ stacked([v for *_, v in group], inner, a.shape[1])
+    if not tall:
+        y = stacked([y[at, block] for at, block in zip(outer, blocks)], outer, a.shape[0])
+    w = a.T @ y
+    del y  # an n x kr product, as large as z: not kept beside it
+    qs = [np.linalg.qr(w[at, block])[0] for at, block in zip(inner, blocks)]
+    z = a @ stacked(qs, inner, a.shape[1])
+    for (k, _, _), q, at, block in zip(group, qs, outer, blocks):
+        p, s, ht = np.linalg.svd(z[at, block], full_matrices=False)
+        if s[-1] > _ARPACK_MIN_RATIO * s[0]:
+            yield k, ((p, s, ht @ q.T) if tall else (q @ ht.T, s, p.T))
 
 
 def sensor_candidates(

@@ -46,3 +46,16 @@ def char_cubic_min_root(m: np.ndarray) -> float:
     c0 = -float(np.linalg.det(m))
     roots = np.roots([1.0, c2, minors, c0])
     return float(np.min(np.real(roots)))
+
+
+def assert_pod_close(pod, ref):
+    """pod_truncate's rounding-level contract against ``ref``: each sigma_j, and each
+    mode and temporal vector scaled by sigma_j, within 1e-12 sigma_1."""
+    tol = 1e-12 * ref.singular_values[0]
+    np.testing.assert_allclose(pod.singular_values, ref.singular_values, rtol=0, atol=tol)
+    for name in ("modes", "temporal"):
+        np.testing.assert_allclose(
+            getattr(pod, name) * pod.singular_values,
+            getattr(ref, name) * ref.singular_values,
+            rtol=0, atol=tol,
+        )

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import count
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from sensorsel.cli import (
     run_submod_report,
 )
 
-from conftest import tiny_row_candidates
+from conftest import assert_pod_close, tiny_row_candidates
 
 
 #: Exit code and stderr prefix of each error category.
@@ -410,6 +411,48 @@ class TestRunCv:
             run_cv(cfg)
 
 
+    def test_unsorted_training_columns_fit_the_pod_of_those_columns(self, tmp_path, monkeypatch):
+        path, _ = make_snapshot_file(tmp_path, n=300, m=120, rank=8, noise=0.05, seed=1)
+        snapshots = load_snapshots(path, SnapshotFormat.RAW_F64)
+        plan = kfold(snapshots.m, 4)
+        train, test = plan.train_columns(2), plan.test_columns(2)
+        shuffled = np.random.Generator(np.random.PCG64(1)).permutation(train)
+        pods = []
+        fold_records = cli._fold_records
+
+        def spy(snapshots, pod, *args):
+            pods.append(pod)
+            return fold_records(snapshots, pod, *args)
+
+        monkeypatch.setattr(cli, "_fold_records", spy)
+        args = (5, list(range(1, 9)), [Method.DG, Method.AG, Method.EG], 2, 0)
+        unsorted, ordered = (evaluate_fold(snapshots, cols, test, *args) for cols in (shuffled, train))
+        # temporal rows in the given column order
+        assert_pod_close(pods[0], pod_truncate(SnapshotData(snapshots.X[:, shuffled]), 5))
+        assert [(a.method, a.p, a.indices, a.locations) for a in unsorted] == [
+            (b.method, b.p, b.indices, b.locations) for b in ordered
+        ]
+
+
+def test_cv_copies_no_fold_s_training_columns(tmp_path):
+    n, m = 4000, 300
+    mask = np.random.default_rng(8).random(n) >= 0.3
+    path, _ = make_snapshot_file(tmp_path, n=n, m=m, rank=8, noise=0.05, seed=2, mask=mask)
+    cfg = ExperimentConfig(
+        mode="cv", r=5, k=5, p_min=1, p_max=10, methods=[Method.DG, Method.AG],
+        data_path=str(path), data_format=SnapshotFormat.RAW_F64, out_dir=str(tmp_path / "cv"),
+    )
+    tracemalloc.start()  # NumPy reports its buffers to tracemalloc
+    try:
+        run_cv(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the loaded X (1.0), its XᵀX and the folds' n x kr products (0.35 together);
+    # a copy of one fold's training columns would add 0.8
+    assert peak <= 1.5 * n * m * 8
+
+
 def per_p_steps(cand, method):
     """Reference for ``cli.greedy_steps``: one ``run_selector`` call per p."""
     return (cli.run_selector(cand, p, method) for p in count(1))
@@ -467,7 +510,7 @@ class TestBatchEvaluation:
             train, test = plan.train_columns(fold), plan.test_columns(fold)
             records = evaluate_fold(snapshots, train, test, 4, list(range(1, 10)), methods, fold, 3)
             assert {rec.p for rec in records} == set(range(1, 10))
-            pod = pod_truncate(snapshots.columns(train), 4)
+            pod = pod_truncate(SnapshotData(snapshots.X[:, train], mask=snapshots.mask), 4)
             cand, _ = sensor_candidates(pod, snapshots.mask)
             x_test = snapshots.X[:, test]
             z_true = pod.modes.T @ x_test
@@ -520,7 +563,7 @@ class TestBatchEvaluation:
 class TestCvNormalMatrix:
     """A cv run's folds take their Lanczos normal matrix from one XᵀX of the file."""
 
-    R, K, P_VALUES = 5, 4, list(range(1, 9))
+    R, K, P_MAX = 5, 4, 8
     METHODS = [Method.DG, Method.AG, Method.EG, Method.RANDOM]
 
     @pytest.fixture
@@ -545,47 +588,49 @@ class TestCvNormalMatrix:
     def masked_file(self, tmp_path, n, m):
         mask = np.random.default_rng(7).random(n) >= 0.1
         path, _ = make_snapshot_file(tmp_path, n=n, m=m, rank=8, noise=0.05, seed=4, mask=mask)
-        return load_snapshots(path, SnapshotFormat.RAW_F64)
+        return path
 
-    def fold_records(self, snapshots):
-        plan = kfold(snapshots.m, self.K)
-        return [
-            evaluate_fold(
-                snapshots, plan.train_columns(fold), plan.test_columns(fold),
-                self.R, self.P_VALUES, self.METHODS, fold, 3,
-            )
-            for fold in range(1, self.K + 1)
-        ]
+    def cv_rows(self, path, out):
+        cfg = ExperimentConfig(
+            mode="cv", r=self.R, k=self.K, p_min=1, p_max=self.P_MAX, seed=3, methods=self.METHODS,
+            data_path=str(path), data_format=SnapshotFormat.RAW_F64, out_dir=str(out),
+        )
+        return read_csv(run_cv(cfg)[0])
 
     def test_tall_folds_share_one_gram_and_match_their_own(self, tmp_path, spies, monkeypatch):
         grams, normals = spies
-        snapshots = self.masked_file(tmp_path, n=400, m=120)
-        shared = self.fold_records(snapshots)
-        assert sum(g is snapshots for g in grams) == 1  # XᵀX of the file, formed once
-        assert len(grams) == 1 + self.K  # and one slice of it per fold
+        path = self.masked_file(tmp_path, n=400, m=120)
+        shared = self.cv_rows(path, tmp_path / "shared")
+        (snapshots,) = grams  # XᵀX of the file, formed once
         plan = kfold(snapshots.m, self.K)
+        assert len(normals) == self.K
         for fold, normal in enumerate(normals, start=1):
             train = plan.train_columns(fold)
             np.testing.assert_array_equal(normal, snapshots.gram[np.ix_(train, train)])
 
-        def own_gram_pod(view, r):  # each fold forms the Gram of its training columns
-            return pod_truncate(SnapshotData(view.X, mask=view.mask), r)
+        fused = cli.data_mod.fold_pods
 
-        monkeypatch.setattr(cli.data_mod, "pod_truncate", own_gram_pod)
-        own = self.fold_records(snapshots)
-        for fold_shared, fold_own in zip(shared, own):
-            assert len(fold_shared) == len(fold_own) == len(self.METHODS) * len(self.P_VALUES)
-            for a, b in zip(fold_shared, fold_own):
-                assert (a.method, a.p, a.indices, a.locations) == (b.method, b.p, b.indices, b.locations)
-                for name in ("det_index", "trace_inv_index", "min_eig_index", "recon_error"):
-                    assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
+        def own_gram_pods(data, r, folds):  # each fold forms the Gram of its training columns
+            return [fused(SnapshotData(data.X[:, cols], mask=data.mask), r, [None])[0] for cols in folds]
+
+        monkeypatch.setattr(cli.data_mod, "fold_pods", own_gram_pods)
+        own = self.cv_rows(path, tmp_path / "own")
+        assert shared[0] == own[0]
+        assert len(shared) == len(own) == 1 + self.K * len(self.METHODS) * self.P_MAX
+        names = ("det_index", "trace_inv_index", "min_eig_index", "recon_error")
+        columns = [shared[0].index(name) for name in names]
+        for a, b in zip(shared[1:], own[1:]):
+            assert a[:5] == b[:5]  # method, p, fold, indices, locations
+            for c in columns:
+                assert float(a[c]) == pytest.approx(float(b[c]), rel=1e-12, abs=0)
 
     def test_wide_folds_form_their_own_normal_matrix(self, tmp_path, spies):
         grams, normals = spies
-        snapshots = self.masked_file(tmp_path, n=60, m=400)
-        self.fold_records(snapshots)
+        path = self.masked_file(tmp_path, n=60, m=400)
+        self.cv_rows(path, tmp_path / "cv")
         assert grams == []
         assert [a.shape for a in normals] == [(60, 60)] * self.K
+        snapshots = load_snapshots(path, SnapshotFormat.RAW_F64)
         plan = kfold(snapshots.m, self.K)
         for fold, normal in enumerate(normals, start=1):
             x = snapshots.X[:, plan.train_columns(fold)]
@@ -832,6 +877,25 @@ class TestMainExitCodes:
             f"    assert cli.main(['select', '--data', {str(path)!r}, '--p', '5', '--method', 'brute', '--criterion', criterion]) == 0\n"
             f"assert cli.main({SMALL_RANDOM + ['--out', str(tmp_path / 'rand')]!r}) == 0\n"
             f"assert cli.main(['submod', '--out', {str(tmp_path / 'sub')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(sensorsel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_cv_whose_folds_take_lapack_leaves_scipy_unloaded(self, tmp_path):
+        # training folds of 30 columns are below the Lanczos rule at r=5 (4 (2r + 1) = 44)
+        path, _ = make_snapshot_file(tmp_path, n=400, m=60, rank=8, noise=0.05)
+        argv = ["cv", "--data", str(path), "--format", "raw", "--r", "5", "--k", "2"]
+        argv += ["--p-max", "10", "--out", str(tmp_path / "cv")]
+        script = (
+            "import sys\n"
+            "from sensorsel import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(sensorsel.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from sensorsel import (
     save_snapshots,
     sensor_candidates,
 )
+from sensorsel.data import fold_pods
+
+from conftest import assert_pod_close
 
 
 def raw_header(n, m, flags=0, magic=b"SNAP", version=1):
@@ -169,6 +173,22 @@ class TestRawFormat:
         np.testing.assert_array_equal(back.mask, mask)
         np.testing.assert_array_equal(back.X[mask], x[mask])
 
+    def test_a_masked_file_loads_into_one_payload_sized_array(self, tmp_path):
+        n, m = 2000, 300
+        x = np.random.default_rng(2).standard_normal((n, m))
+        mask = np.random.default_rng(3).random(n) >= 0.3
+        path = tmp_path / "big.raw"
+        save_snapshots(SnapshotData(x, mask=mask), path, SnapshotFormat.RAW_F64)
+        tracemalloc.start()  # NumPy reports its buffers to tracemalloc
+        try:
+            data = load_snapshots(path, SnapshotFormat.RAW_F64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * m * 8  # the kept array, and no copy of the file beside it
+        assert data.X.flags.f_contiguous and not data.X.flags.writeable
+        np.testing.assert_array_equal(data.X, np.where(mask[:, None], x, 0.0))
+
     def test_masked_in_nan_is_data_error(self, tmp_path):
         path = tmp_path / "nan.raw"
         payload = struct.pack("<2d", float("nan"), 1.0)
@@ -195,31 +215,6 @@ class TestRawFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["only"]
 
 
-class TestColumns:
-    def test_equals_a_new_snapshot_set_of_the_columns(self):
-        x = np.random.default_rng(5).standard_normal((6, 7))
-        x[4, :] = np.nan  # allowed at a masked location
-        mask = np.array([True, True, False, True, False, True])
-        data = SnapshotData(x, mask=mask, grid=(2, 3))
-        cols = np.array([0, 2, 3, 6])
-        sub = data.columns(cols)
-        ref = SnapshotData(x[:, cols], mask=mask, grid=(2, 3))
-        np.testing.assert_array_equal(sub.X, ref.X)
-        np.testing.assert_array_equal(sub.mask, ref.mask)
-        assert sub.grid == ref.grid
-        assert not sub.X.flags.writeable
-        assert data.X.shape == (6, 7)
-
-    def test_does_not_validate_again(self, monkeypatch):
-        data = SnapshotData(np.ones((3, 4)))
-
-        def refuse(self):
-            raise AssertionError("validated again")
-
-        monkeypatch.setattr(SnapshotData, "__post_init__", refuse)
-        assert data.columns(np.array([1, 3])).X.shape == (3, 2)
-
-
 class TestMaskedRows:
     """Masked rows read as zero once a snapshot set is built, whatever they held."""
 
@@ -234,13 +229,6 @@ class TestMaskedRows:
         assert np.all(data.X[~self.MASK] == 0.0)
         assert data.X[self.MASK].tobytes() == x[self.MASK].tobytes()
         np.testing.assert_array_equal(x, given)  # the input is not written
-
-    def test_columns_keep_them_zero(self):
-        x = np.random.default_rng(12).standard_normal((6, 5))
-        x[~self.MASK] = np.nan
-        sub = SnapshotData(x, mask=self.MASK).columns(np.array([4, 0, 2]))
-        assert np.all(sub.X[~self.MASK] == 0.0)
-        np.testing.assert_array_equal(sub.X[self.MASK], x[self.MASK][:, [4, 0, 2]])
 
     def test_raw_file_with_nan_in_masked_rows_loads_zeros(self, tmp_path):
         path = tmp_path / "nan.raw"
@@ -490,6 +478,74 @@ class TestPodArpack:
         pod = pod_truncate(SnapshotData(x), 4)
         assert arpack_calls == [normal_shape(shape)]
         assert_same_pod(pod, x, 4)
+
+
+def train_folds(m, k):
+    plan = kfold(m, k)
+    return [plan.train_columns(fold) for fold in range(1, k + 1)]
+
+
+class TestFoldPods:
+    """The folds' PODs, fitted together, against pod_truncate of a copy of each fold's columns."""
+
+    @staticmethod
+    def own(x, folds, r, mask=None):
+        return [pod_truncate(SnapshotData(x[:, cols], mask=mask), r) for cols in folds]
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)], ids=["tall", "wide"])
+    def test_lanczos_folds_match_their_own(self, arpack_calls, full_svd_calls, shape):
+        rng = np.random.Generator(np.random.PCG64(4))
+        x = steep_snapshots(*shape, 5, ratio=1e3) + 1e-4 * rng.standard_normal(shape)
+        mask = rng.random(shape[0]) >= 0.2
+        folds = train_folds(shape[1], 4)
+        pods = fold_pods(SnapshotData(x, mask=mask), 5, folds)
+        width = len(folds[0])
+        assert arpack_calls == [normal_shape((shape[0], width))] * 4
+        assert (shape[0], width) not in full_svd_calls  # no fold fell back
+        for pod, ref in zip(pods, self.own(x, folds, 5, mask)):
+            assert np.abs(pod.modes[~mask]).max() == 0.0
+            assert_pod_close(pod, ref)
+
+    def test_a_steep_fold_falls_back_to_lapack_alone(self, arpack_calls, full_svd_calls):
+        # fold 1 trains on a spectrum with sigma_1 / sigma_r = 1e7; the other
+        # folds also hold its flat test columns, so their Lanczos results stay
+        rng = np.random.Generator(np.random.PCG64(5))
+        flat = np.linalg.qr(rng.standard_normal((300, 13)))[0] @ rng.standard_normal((13, 30))
+        x = np.hstack([flat, steep_snapshots(300, 90, 5, ratio=1e7)])
+        folds = train_folds(120, 4)
+        pods = fold_pods(SnapshotData(x), 5, folds)
+        assert arpack_calls == [(90, 90)] * 4
+        assert full_svd_calls.count((300, 90)) == 1
+        assert_same_pod(pods[0], x[:, folds[0]], 5)
+        for pod, ref in zip(pods[1:], self.own(x, folds[1:], 5)):
+            assert_pod_close(pod, ref)
+
+    def test_overflowing_folds_take_lapack(self, arpack_calls):
+        x = TestPodOverflow.x
+        folds = train_folds(x.shape[1], 2)
+        pods = fold_pods(SnapshotData(x), 3, folds)
+        assert arpack_calls == []
+        for pod, cols in zip(pods, folds):
+            assert_same_pod(pod, x[:, cols], 3)
+
+    def test_tall_and_wide_folds_of_one_file(self, arpack_calls):
+        x = steep_snapshots(120, 300, 4, ratio=1e2, seed=2)
+        folds = [np.arange(100), np.arange(50, 300)]  # 120 x 100 is tall, 120 x 250 wide
+        pods = fold_pods(SnapshotData(x), 4, folds)
+        assert arpack_calls == [(100, 100), (120, 120)]
+        for pod, ref in zip(pods, self.own(x, folds, 4)):
+            assert_pod_close(pod, ref)
+
+    def test_unsorted_columns_keep_their_order(self):
+        x = steep_snapshots(300, 120, 4, ratio=1e2, seed=3)
+        cols = np.random.Generator(np.random.PCG64(6)).permutation(120)[:90]
+        (pod,) = fold_pods(SnapshotData(x), 4, [cols])
+        assert_pod_close(pod, pod_truncate(SnapshotData(x[:, cols]), 4))
+
+    def test_the_first_fold_too_narrow_for_the_rank_raises(self):
+        data = SnapshotData(np.random.default_rng(0).standard_normal((12, 12)))
+        with pytest.raises(RankOutOfRangeError, match=r"rank 4 outside \[1, 3\]"):
+            fold_pods(data, 4, [np.arange(8), np.arange(3), np.arange(2)])
 
 
 class TestPodOverflow:
