@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
@@ -50,11 +50,11 @@ _HEADER = struct.Struct("<4sIQQI4x")
 
 # pod_truncate's solver rule.  With OpenBLAS on one thread of a 2-vCPU Xeon
 # VM, on matrices whose column scales fall from 1 to 1e-2, the Lanczos route
-# (normal matrix formed per call, block step and Rayleigh-Ritz included) ran
-# at 0.23x LAPACK's speed at 60 x 24 (r=3) and 0.56-0.61x at 400 x 30 (r=5),
-# but 2.5-3.0x at 500 x 100 (r=5), 4.7-6.3x at 1000 x 416 (r=10) and 6.2x at
-# 5000 x 800 (r=20).  At the rule's edge it can still lose about 0.2 ms for
-# small r (0.68x at 300 x 36, r=4).
+# (normal matrix formed per call, Rayleigh-Ritz step included) ran at
+# 0.28-0.35x LAPACK's speed at 60 x 24 (r=3) and 0.63-0.64x at 400 x 30 (r=5),
+# but 1.9-3.0x at 500 x 100 (r=5), 4.4-7.2x at 1000 x 416 (r=10) and 5.9-7.5x
+# at 5000 x 800 (r=20).  At the rule's edge it can still lose about 0.2 ms
+# for small r (0.69-0.75x at 300 x 36, r=4).
 _ARPACK_MIN_SIZE_PER_RANK = 4  # Lanczos needs min(n, m) >= this * (2r + 1)
 _ARPACK_MIN_RATIO = 1e-6  # the Lanczos result is kept only if sigma_r > this * sigma_1
 
@@ -121,31 +121,23 @@ class SnapshotData:
 
 @dataclass(frozen=True)
 class PodModel:
-    """Rank-r truncated SVD of a snapshot matrix.
+    """Rank-r truncated POD of a snapshot matrix X.
 
-    ``modes`` (n x r) and ``temporal`` (m x r) have orthonormal columns and
-    ``singular_values`` is nonincreasing, so
-    ``X ~= modes @ diag(singular_values) @ temporal.T``.
+    ``modes`` (n x r) holds the r leading left singular vectors of X, with
+    orthonormal columns, and ``singular_values`` their nonincreasing
+    singular values.
     """
 
     r: int
     modes: np.ndarray
     singular_values: np.ndarray
-    temporal: np.ndarray
 
     def __post_init__(self) -> None:
         s = np.asarray(self.singular_values, dtype=float)
         if np.any(np.diff(s) > 0) or np.any(s < 0):
             raise ValueError("singular values must be nonincreasing and nonnegative")
-        for name in ("modes", "temporal"):
-            q = getattr(self, name)
-            gram = q.T @ q
-            if not np.allclose(gram, np.eye(self.r), atol=1e-10):
-                raise ValueError(f"{name} columns are not orthonormal")
-
-    def latent(self) -> np.ndarray:
-        """Latent amplitude matrix ``diag(S) @ temporal.T`` (r x m)."""
-        return self.singular_values[:, None] * self.temporal.T
+        if not np.allclose(self.modes.T @ self.modes, np.eye(self.r), atol=1e-10):
+            raise ValueError("modes columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -294,72 +286,84 @@ def save_snapshots(data: SnapshotData, path: str | Path, fmt: SnapshotFormat) ->
 
 
 def pod_truncate(data: SnapshotData, r: int) -> PodModel:
-    """Rank-r truncated SVD of the snapshot matrix.
+    """Rank-r truncated POD of the snapshot matrix: its r leading spatial modes.
 
     Masked-out rows are zero (see :class:`SnapshotData`).  Singular values
     are returned in nonincreasing order, and mode signs are fixed so the
-    largest-magnitude entry of each spatial mode is positive.
+    largest-magnitude entry of each mode is positive.
 
-    Only the r leading singular triplets are computed when the matrix is
-    large enough for that to pay: if ``min(n, m) >= 4 * (2r + 1)``,
-    ARPACK's Lanczos iteration (``scipy.sparse.linalg.eigsh``) finds the r
-    leading eigenvectors V of the explicit normal matrix, ``XᵀX`` or
-    ``XXᵀ``, whichever is smaller, from a fixed PCG64-seeded start vector,
-    so reruns are bit-identical.  A tall set's ``XᵀX`` is
-    :attr:`SnapshotData.gram`.  The explicit normal matrix loses accuracy
-    in the trailing modes, so one block step on X itself follows
-    (``V = qr(Xᵀ(X V))``, leading vector first), then the Rayleigh-Ritz
-    step ``svd(X V)``.  Below that size the full LAPACK SVD
-    (``np.linalg.svd``) is faster and is used instead.  It is also the
-    fallback when ARPACK fails (``ArpackError``, no convergence included)
-    or when the spectrum is steep, ``σ_r <= 1e-6 σ_1``, where the trailing
-    modes drift towards the ``1e-12 σ_1`` bound (about 3e-12 σ_1 was seen
-    at ``σ_1/σ_r = 1e7``).  Where the Lanczos result is kept it equals the
-    full SVD's at rounding level, not bit for bit: each ``σ_j`` and each
-    mode scaled by ``σ_j`` within ``1e-12 σ_1``.
+    Only the r leading singular pairs are computed when the matrix is large
+    enough for that to pay: if ``min(n, m) >= 4 * (2r + 1)``, ARPACK's
+    Lanczos iteration (``scipy.sparse.linalg.eigsh``) finds the r leading
+    eigenvectors V of the explicit normal matrix, ``XᵀX`` or ``XXᵀ``,
+    whichever is smaller, from a fixed PCG64-seeded start vector, so reruns
+    are bit-identical.  A tall set's ``XᵀX`` is :attr:`SnapshotData.gram`.
+    The explicit normal matrix loses accuracy in the trailing vectors, so the
+    modes come from X itself: Q is an orthonormal basis of the leading right
+    singular vectors (``qr(V)`` if tall, ``qr(Xᵀ V)`` if wide), and the
+    Rayleigh-Ritz step ``svd(X Q)`` gives the modes and singular values.
+    Below that size the full LAPACK SVD (``np.linalg.svd``) is faster and is
+    used instead.  It is also the fallback when ARPACK fails (``ArpackError``,
+    no convergence included) or when the spectrum is steep,
+    ``σ_r <= 1e-6 σ_1``, where the trailing modes drift towards the
+    ``1e-12 σ_1`` bound (about 3e-12 σ_1 was seen at ``σ_1/σ_r = 1e7``).
+    Where the Lanczos result is kept it equals the full SVD's at rounding
+    level, not bit for bit: each ``σ_j`` and each mode scaled by ``σ_j``
+    within ``1e-12 σ_1``.
 
     This is the one-set case of :func:`fold_pods`, which fits the folds of
-    a ``cv`` run together without copying their columns: a tall fold's
-    normal matrix is sliced from the file's one ``XᵀX``, and all folds'
-    block and Rayleigh-Ritz steps share three products over the whole X.
+    a ``cv`` run together: a tall fold's normal matrix is sliced from the
+    file's one ``XᵀX``, and all folds' Rayleigh-Ritz steps share one product
+    over the whole X (wide folds one more, for ``Xᵀ V``).
     """
     return fold_pods(data, r, [None])[0]
 
 
 def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) -> list[PodModel]:
     """:func:`pod_truncate` of the snapshots at each fold's distinct 0-based
-    columns (``None``: all), fitted together; ``temporal`` rows keep the column
-    order.  The shared products also sum over the zeros at a fold's left-out
-    columns, so each POD equals pod_truncate of a copy of its columns at rounding
-    level.  Ranks are checked first, in fold order (kfold's first is narrowest)."""
+    columns (``None``: all), fitted together.  Each Lanczos fold first gets an
+    orthonormal basis Q of its r leading right singular vectors: ``qr(V)`` of
+    a tall fold's ARPACK vectors, or ``qr`` of a wide fold's training rows of
+    ``Xᵀ V``, one product for all wide folds.  Then all Lanczos folds share
+    one product ``X Q̂``, each Q zero at its fold's left-out columns, and each
+    fold's modes and singular values are the thin SVD of its block.  The
+    products sum over those zeros, so each POD equals pod_truncate of a copy
+    of its columns at rounding level.  Ranks are checked first, in fold order
+    (kfold's first is narrowest)."""
     x, n = data.X, data.n
     cols = [slice(None) if c is None else c for c in folds]
     widths = [data.m if c is None else len(c) for c in folds]
     for width in widths:
         if r < 1 or r > min(n, width):
             raise RankOutOfRangeError(f"rank {r} outside [1, {min(n, width)}]")
-    lanczos: dict[bool, list] = {True: [], False: []}  # (fold, columns, V) of tall and wide folds
+    bases = {}  # fold -> its ARPACK vectors, then an orthonormal basis of its right singular vectors
     for k, width in enumerate(widths):
         if min(n, width) >= _ARPACK_MIN_SIZE_PER_RANK * (2 * r + 1):
             v = _lanczos(data, r, cols[k], tall=n >= width)
             if v is not None:
-                lanczos[n >= width].append((k, cols[k], v))
-    triplets: dict[int, tuple] = {}
-    for tall, group in lanczos.items():
-        if group:
-            triplets.update(_subspace_step(x if tall else x.T, r, tall, group))
+                bases[k] = v
+    wide = [k for k in bases if widths[k] > n]
+    if wide:  # a wide fold's vectors are left ones: Xᵀ carries them to the right
+        y = x.T @ np.hstack([bases[k] for k in wide])
+        for j, k in enumerate(wide):
+            bases[k] = y[cols[k], j * r : (j + 1) * r]
+    q = np.zeros((data.m, r * len(bases)))
+    for j, k in enumerate(bases):
+        q[cols[k], j * r : (j + 1) * r] = np.linalg.qr(bases[k])[0]
+    z = x @ q
+    modes = {}
+    for j, k in enumerate(bases):
+        u, s, _ = np.linalg.svd(z[:, j * r : (j + 1) * r], full_matrices=False)
+        if s[-1] > _ARPACK_MIN_RATIO * s[0]:
+            modes[k] = u, s
     pods = []
     for k, c in enumerate(cols):
-        if k not in triplets:  # small, overflowing, ARPACK failed or steep spectrum
-            u, s, vt = np.linalg.svd(x[:, c], full_matrices=False)
-            triplets[k] = u[:, :r].copy(), s[:r], vt[:r].copy()  # not views that keep all of u, vt
-        u, s, vt = triplets[k]
-        for j in range(r):
-            i = int(np.argmax(np.abs(u[:, j])))
-            if u[i, j] < 0.0:
-                u[:, j] = -u[:, j]
-                vt[j, :] = -vt[j, :]
-        pods.append(PodModel(r=r, modes=u, singular_values=s, temporal=vt.T))
+        if k not in modes:  # small, overflowing, ARPACK failed or steep spectrum
+            u, s, _ = np.linalg.svd(x[:, c], full_matrices=False)
+            modes[k] = u[:, :r].copy(), s[:r]  # not a view that keeps all of u
+        u, s = modes[k]
+        u *= np.where(u[np.argmax(np.abs(u), axis=0), np.arange(r)] < 0.0, -1.0, 1.0)
+        pods.append(PodModel(r=r, modes=u, singular_values=s))
     return pods
 
 
@@ -383,33 +387,6 @@ def _lanczos(data: SnapshotData, r: int, cols: np.ndarray | slice, tall: bool) -
     except scipy.sparse.linalg.ArpackError:
         return None
     return v[:, ::-1]
-
-
-def _subspace_step(a: np.ndarray, r: int, tall: bool, group: list) -> Iterator[tuple[int, tuple]]:
-    """(fold, triplet) of each fold of ``group`` whose spectrum is not steep, by the block and
-    Rayleigh-Ritz steps (see pod_truncate) in three products over ``a`` (X if tall, else Xᵀ);
-    fold j owns operand columns ``j r .. (j + 1) r - 1``, zero at the snapshots it leaves out."""
-    blocks = [slice(j * r, (j + 1) * r) for j in range(len(group))]
-    inner = [cols if tall else slice(None) for _, cols, _ in group]  # fold rows of a's columns
-    outer = [slice(None) if tall else cols for _, cols, _ in group]  # and of a's rows
-
-    def stacked(parts: list[np.ndarray], rows: list, size: int) -> np.ndarray:
-        out = np.zeros((size, r * len(parts)))
-        for part, at, block in zip(parts, rows, blocks):
-            out[at, block] = part
-        return out
-
-    y = a @ stacked([v for *_, v in group], inner, a.shape[1])
-    if not tall:
-        y = stacked([y[at, block] for at, block in zip(outer, blocks)], outer, a.shape[0])
-    w = a.T @ y
-    del y  # an n x kr product, as large as z: not kept beside it
-    qs = [np.linalg.qr(w[at, block])[0] for at, block in zip(inner, blocks)]
-    z = a @ stacked(qs, inner, a.shape[1])
-    for (k, _, _), q, at, block in zip(group, qs, outer, blocks):
-        p, s, ht = np.linalg.svd(z[at, block], full_matrices=False)
-        if s[-1] > _ARPACK_MIN_RATIO * s[0]:
-            yield k, ((p, s, ht @ q.T) if tall else (q @ ht.T, s, p.T))
 
 
 def sensor_candidates(

@@ -35,6 +35,7 @@ from .errors import (
     TooManySensorsError,
 )
 from .fisher import (
+    EPS_SINGULAR,
     CandidateMatrix,
     FisherInfo,
     _criteria,
@@ -42,6 +43,7 @@ from .fisher import (
     _eigvalsh,
     _gram,
     _require_nonsingular,
+    _singular,
     build_measurement,
     det_index,
     fisher_info,
@@ -470,7 +472,9 @@ def select_bruteforce(
     of regime Gram matrices per block, ranked by the formula of the
     criterion's :mod:`~sensorsel.fisher` index, except that D ranks by the
     log-determinant, which does not overflow.  Subsets singular under A or
-    D are skipped.  Guarded by :data:`BRUTE_GUARD` on the number of
+    D are skipped, and under D so are those whose Gram overflowed; D
+    eigensolves only the Grams whose determinant and trace cannot rule out
+    singularity.  Guarded by :data:`BRUTE_GUARD` on the number of
     subsets.  The returned ``per_step_objective`` is NaN except for the
     final entry, which holds the optimal index value.
     """
@@ -480,8 +484,17 @@ def select_bruteforce(
     def score(subsets: np.ndarray) -> np.ndarray:
         gram = _gram(u[subsets - 1])
         if criterion is Criterion.D:
-            sign, logdet = np.linalg.slogdet(gram)
-            return np.where(sign > 0, logdet, -np.inf)
+            # a Gram that overflowed reads NaN.  λ_min / λ_max >= det / trace^k, so only a Gram
+            # that fails this bound is eigensolved; the factor 2 covers the rounding of a
+            # near-singular determinant (about 1e-4 relative)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sign, logdet = np.linalg.slogdet(gram)
+                logdet = np.where((sign > 0) & np.isfinite(logdet), logdet, np.nan)
+                bound = logdet - gram.shape[-1] * np.log(np.einsum("...ii->...", gram))
+            unsure = np.isfinite(logdet) & ~(bound > np.log(2 * EPS_SINGULAR))
+            if unsure.any():
+                logdet[unsure] = np.where(_singular(_eigvalsh(gram[unsure])), np.nan, logdet[unsure])
+            return logdet
         crit = _criteria(gram)
         return crit.min_eig if criterion is Criterion.E else crit.trace_inv
 

@@ -427,7 +427,6 @@ class TestRunCv:
         monkeypatch.setattr(cli, "_fold_records", spy)
         args = (5, list(range(1, 9)), [Method.DG, Method.AG, Method.EG], 2, 0)
         unsorted, ordered = (evaluate_fold(snapshots, cols, test, *args) for cols in (shuffled, train))
-        # temporal rows in the given column order
         assert_pod_close(pods[0], pod_truncate(SnapshotData(snapshots.X[:, shuffled]), 5))
         assert [(a.method, a.p, a.indices, a.locations) for a in unsorted] == [
             (b.method, b.p, b.indices, b.locations) for b in ordered
@@ -1055,8 +1054,11 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "method, flags",
-        [("dg", []), ("ag", []), ("eg", []), ("brute", ["--criterion", "a"])],
-        ids=["dg", "ag", "eg", "brute"],
+        [
+            ("dg", []), ("ag", []), ("eg", []),
+            ("brute", ["--criterion", "a"]), ("brute", ["--criterion", "d"]),
+        ],
+        ids=["dg", "ag", "eg", "brute", "brute-d"],
     )
     def test_select_failure_names_the_method_and_p(self, tmp_path, capsys, method, flags):
         # the tiny-row rows: every greedy method fails at step 4, and the one 4-subset is singular

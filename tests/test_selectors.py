@@ -400,21 +400,23 @@ class TestBruteForce:
 
 
 def unblocked_brute_value(cand, criterion):
-    """The score of one subset as select_bruteforce computed it before it
-    scored subsets in stacked blocks: one Fisher information per subset."""
+    """The score of one subset from one Fisher information per subset, not
+    from stacked blocks: A and D score a subset that trace_inv_index finds
+    singular as NaN."""
     u = cand.rows
 
     def value(subset):
         info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
-        if criterion is Criterion.D:
-            sign, logdet = np.linalg.slogdet(info.matrix)
-            return logdet if sign > 0 else -math.inf
         if criterion is Criterion.E:
             return min_eig_index(info)
         try:
-            return trace_inv_index(info)
+            trace_inv = trace_inv_index(info)
         except SingularInformationError:
             return math.nan
+        if criterion is Criterion.A:
+            return trace_inv
+        sign, logdet = np.linalg.slogdet(info.matrix)
+        return logdet if sign > 0 else math.nan
 
     return value
 
@@ -469,7 +471,7 @@ class TestBruteForceBlocks:
             assert res.per_step_objective[-1] == det_index(fisher_info(build_measurement(cand, best)))
         else:
             assert res.per_step_objective[-1] == expected[k]
-        if singular and criterion is not Criterion.D:  # A skips, E clamps to 0
+        if singular:  # A and D skip, E clamps to 0
             assert (np.isnan(expected) | (expected == 0.0)).any()
 
     @pytest.mark.parametrize("subsets", [1, 7, None])
@@ -489,6 +491,17 @@ class TestBruteForceBlocks:
         self.block_size(monkeypatch, subsets, 1, 1)
         k = _argbest(values, minimize)
         assert _best_subset(20, 1, lambda s: values[s[:, 0] - 1], minimize, r=1) == ((k + 1,), values[k])
+
+    @pytest.mark.parametrize("subsets", [1, 7, None])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_d_skips_the_subsets_whose_gram_overflows(self, monkeypatch, subsets):
+        # row 5 holds one entry of 1e163, so every Gram it joins overflows
+        rows = gaussian_candidates(12, 5, seed=3).rows.copy()
+        rows[4, 2] = 1e163
+        self.block_size(monkeypatch, subsets, 3, 5)
+        res = select_bruteforce(CandidateMatrix(rows), 3, Criterion.D)
+        rest = select_bruteforce(CandidateMatrix(np.delete(rows, 4, axis=0)), 3, Criterion.D)
+        assert res.indices == tuple(i + (i >= 5) for i in rest.indices)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d_past_the_float_range_picks_without_a_warning(self):
