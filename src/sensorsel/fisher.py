@@ -155,6 +155,14 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c @ ct if c.shape[-2] <= c.shape[-1] else ct @ c
 
 
+def _unit_scaled(a: np.ndarray, axis: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` times 2^-e, and e, the binary exponent of max|a| over ``axis`` (all of ``a`` by
+    default; 0 where ``a`` is zero): the largest magnitude then lies in [1/2, 1), and only
+    entries below 2^-1022 of it round.  ``e`` lacks the reduced axes."""
+    e = np.frexp(np.abs(a).max(axis=axis, initial=0.0))[1]
+    return np.ldexp(a, -(e if axis is None else np.expand_dims(e, axis))), e
+
+
 def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, wrapping solver failures."""
     try:
@@ -253,10 +261,9 @@ def det_index(f: FisherInfo) -> float:
     """Determinant of the regime Gram matrix (the D-optimality index).
 
     Reads ``inf`` when the determinant exceeds the float range (entries
-    around 1e150).  No selector ranks candidates by it (brute force under
-    ``Criterion.D`` ranks by the log-determinant), so picks are unaffected;
-    only the reported index (``per_step_objective``, the ``det_index`` CSV
-    column) reads ``inf``.
+    around 1e150).  No selector ranks candidates by it (they score rows
+    scaled by a power of two), so picks are unaffected; only the reported
+    index (``per_step_objective``, the ``det_index`` CSV column) reads ``inf``.
     """
     return float(_det(f.matrix))
 
@@ -369,13 +376,11 @@ def reconstruction_error(z_true: np.ndarray, z_est: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # only a ratio past the float range reads inf
         num, denom = float(np.linalg.norm(ze - zt)), float(np.linalg.norm(zt))
         if not (math.isfinite(num) and 0.0 < denom < math.inf):
-            # a square over- or underflowed: take both norms again on the inputs
-            # scaled by powers of two (exact, so the ratio keeps its bits)
-            top = np.abs(zt).max(initial=0.0)
-            ez = np.frexp(top)[1]
-            e = np.frexp(max(top, np.abs(ze).max(initial=0.0)))[1]
-            num = float(np.ldexp(np.linalg.norm(np.ldexp(ze, -e) - np.ldexp(zt, -e)), e - ez))
-            denom = float(np.linalg.norm(np.ldexp(zt, -ez)))
+            # a square left the float range: both norms again on inputs scaled exactly
+            zt_unit, ez = _unit_scaled(zt)
+            (ze_e, zt_e), e = _unit_scaled(np.stack([ze, zt]))
+            num = float(np.ldexp(np.linalg.norm(ze_e - zt_e), e - ez))
+            denom = float(np.linalg.norm(zt_unit))
     if denom == 0.0:
         raise ZeroReferenceError("true latent matrix has zero norm")
     return num / denom

@@ -7,15 +7,13 @@ differences below 1e-12 to zero, so runs are deterministic.
 
 The three greedy selectors share one loop and one factored state of the
 selected rows; each differs only in how it scores a candidate against
-that state.  For the first r picks they skip the rows in the span of the
-rows already picked and raise :class:`NoAdmissibleCandidateError`,
-naming the step, when no other row is left or no score is finite.  The
-rule is relative to each row's own norm: a row tiny next to the others
-passes it and can leave the Gram of the first r picks singular.  Each
-greedy selector fails alike on such picks: it raises
-:class:`SingularInformationError` at step r + 1, the first that inverts
-or eigensolves ``C^T C``, and the A-greedy ``per_step_objective`` of its
-selection for p = r raises it when read.
+that state.  They score the rows scaled by a power of two
+(:func:`~sensorsel.fisher._unit_scaled`), which is exact, and the
+brute-force search each subset's rows; as every tie, skip and
+singularity test is relative, no pick depends on the scale of the rows.
+For the first r picks a greedy step skips the rows that add no direction
+(see :data:`REDUNDANT_REL`), and the step that finds no other row raises
+:class:`NoAdmissibleCandidateError`.
 """
 
 from __future__ import annotations
@@ -39,11 +37,13 @@ from .fisher import (
     CandidateMatrix,
     FisherInfo,
     _criteria,
+    _det,
     _eigh,
     _eigvalsh,
     _gram,
     _require_nonsingular,
     _singular,
+    _unit_scaled,
     build_measurement,
     det_index,
     fisher_info,
@@ -54,8 +54,8 @@ from .fisher import (
 #: Relative tolerance under which competing objective values count as tied.
 TIE_REL = 1e-12
 
-#: A row whose squared distance from the span of the selected rows is at
-#: or below this share of its squared norm adds no direction.
+#: A row adds no direction when its squared distance from the span of the selected
+#: rows is at most this share of its squared norm, or EPS_SINGULAR of the largest.
 REDUNDANT_REL = 1e-10
 
 #: Share of ``lambda_max + ||u||^2`` added to each E-greedy upper bound
@@ -177,7 +177,7 @@ class _Factor:
         self.res2 = self.norms2.copy()
         self.coords = np.empty((u.shape[1], u.shape[0]))
         self.selected: list[int] = []
-        self.floor = REDUNDANT_REL * self.norms2
+        self.floor = np.maximum(REDUNDANT_REL * self.norms2, EPS_SINGULAR * self.norms2.max())
         self.excluded = self.res2 <= self.floor
 
     @property
@@ -224,22 +224,16 @@ def _greedy(
     ``wall_time`` counts only the time spent in this generator, not the
     time the caller holds it suspended.
     """
-    u = cand.rows
     elapsed, t0 = 0.0, time.perf_counter()
-    state = _Factor(u)
+    state = _Factor(_unit_scaled(cand.rows)[0])
     trail = _Trail(cand, index)
     for k in range(cand.n):
-        with np.errstate(all="ignore"):  # scores may overflow; _argbest rejects a non-finite best
+        if state.excluded.all():
+            raise NoAdmissibleCandidateError(f"step {k + 1}: every remaining row adds no direction")
+        with np.errstate(divide="ignore"):  # an excluded row's residual may be 0
             values = score(state)
         values[state.excluded] = np.nan
-        try:
-            i = _argbest(values, minimize)
-        except NoAdmissibleCandidateError:
-            why = "no remaining row has a finite score"
-            if state.excluded.all():
-                why = "every remaining row adds no direction"
-            raise NoAdmissibleCandidateError(f"step {k + 1}: {why}") from None
-        state.add(i)
+        state.add(_argbest(values, minimize))
         indices = tuple(j + 1 for j in state.selected)
         elapsed += time.perf_counter() - t0
         yield SelectionResult(method, indices, trail, elapsed)
@@ -303,7 +297,7 @@ def _eg_score(state: _Factor) -> np.ndarray:
         def exact(idx: np.ndarray) -> np.ndarray:
             return _eigvalsh(gram + u[idx, :, None] * u[idx, None, :])[:, 0]
 
-    slack = EG_BOUND_SLACK * (lam[-1] + state.norms2) + np.finfo(float).tiny
+    slack = EG_BOUND_SLACK * (lam[-1] + state.norms2)
     return _scores_that_can_win(bound + slack, exact, state.excluded)
 
 
@@ -319,7 +313,7 @@ def _scores_that_can_win(
     ``upper``, in doubling blocks, until the next upper bound lies below the
     :func:`_argbest` tie band of the best score so far; NaN for the rest.
 
-    A non-finite bound (overflow) never rules a candidate out.
+    A non-finite bound never rules a candidate out.
     """
     upper = np.where(np.isfinite(upper), upper, np.inf)
     upper[excluded] = -np.inf
@@ -433,7 +427,7 @@ def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:
 def _best_subset(
     n: int,
     p: int,
-    score: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
     minimize: bool,
     r: int,
 ) -> tuple[tuple[int, ...], float]:
@@ -442,24 +436,37 @@ def _best_subset(
     The subsets are scored in lexicographic order, in blocks of at most
     :data:`BRUTE_BLOCK` // (p r) subsets (at least one), ``r`` being the
     width of a candidate row: ``score`` takes a block as a (k, p) array
-    of 1-based indices, one subset per row, and returns its k values.
-    :func:`_argbest` then picks the winner, so near-ties go to the
-    lexicographically smallest subset and NaN values are skipped, as in a
-    greedy step.  Guarded by :data:`BRUTE_GUARD` on the number of
-    subsets.
+    of 1-based indices, one subset per row, and returns its k values, or
+    arrays v and x of the nonnegative values v 2^x, which may lie past the
+    float range and are ranked scaled by the power of two that brings the
+    best into [1/2, 1).  :func:`_argbest` then picks the winner, so
+    near-ties go to the lexicographically smallest subset and NaN values
+    are skipped, as in a greedy step.  Guarded by :data:`BRUTE_GUARD` on
+    the number of subsets.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
         raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
     size = max(1, BRUTE_BLOCK // (p * r))
     subsets = combinations(range(1, n + 1), p)
-    values = np.empty(total)
+    values, shifts = np.empty(total), np.zeros(total, np.int16)
     for start in range(0, total, size):
         k = min(size, total - start)
         block = np.fromiter(chain.from_iterable(islice(subsets, k)), np.intp, k * p)
-        values[start : start + k] = score(block.reshape(k, p))
+        scores = score(block.reshape(k, p))
+        if isinstance(scores, tuple):
+            scores, shifts[start : start + k] = scores
+        values[start : start + k] = scores
+    top = 0
+    if shifts.any():  # exact within 2^64 of the best; further off saturates, outside the tie band
+        x = np.frexp(values, out=(values, np.empty(total, np.intc)))[1] + shifts
+        x_pos = x[values > 0]
+        top = (x_pos.min() if minimize else x_pos.max()) if x_pos.size else 0
+        np.ldexp(values, np.clip(x - top, -64, 64), out=values)
     best = _argbest(values, minimize)
-    return next(islice(combinations(range(1, n + 1), p), best, None)), float(values[best])
+    with np.errstate(over="ignore"):  # inf past the float range
+        value = float(np.ldexp(values[best], top))
+    return next(islice(combinations(range(1, n + 1), p), best, None)), value
 
 
 def select_bruteforce(
@@ -468,35 +475,36 @@ def select_bruteforce(
     """Exact optimizer over all p-subsets; ties go to the lexicographically
     smallest index set.
 
-    The subsets are scored in blocks (see :func:`_best_subset`): one stack
-    of regime Gram matrices per block, ranked by the formula of the
-    criterion's :mod:`~sensorsel.fisher` index, except that D ranks by the
-    log-determinant, which does not overflow.  Subsets singular under A or
-    D are skipped, and under D so are those whose Gram overflowed; D
-    eigensolves only the Grams whose determinant and trace cannot rule out
-    singularity.  Guarded by :data:`BRUTE_GUARD` on the number of
-    subsets.  The returned ``per_step_objective`` is NaN except for the
-    final entry, which holds the optimal index value.
+    The subsets are scored in blocks (see :func:`_best_subset`), each one's
+    rows scaled by the power of two that puts their largest entry in
+    [1/2, 1): one stack of regime Gram matrices per block, ranked by the
+    formula of the criterion's :mod:`~sensorsel.fisher` index scaled back,
+    under D by the log-determinant.  Subsets singular under A or D are
+    skipped; D eigensolves only the Grams whose determinant and trace
+    cannot rule out singularity.  Guarded by :data:`BRUTE_GUARD` on the
+    number of subsets.  ``per_step_objective`` is NaN except for the final
+    entry, the optimal index value (``inf`` or 0 past the float range).
     """
     u = cand.rows
     _check_p(cand.n, p)
 
-    def score(subsets: np.ndarray) -> np.ndarray:
-        gram = _gram(u[subsets - 1])
+    def score(subsets: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        c, e = _unit_scaled(u[subsets - 1], axis=(1, 2))
+        gram = _gram(c)  # the raw rows' Gram times 2^-2e
+        k = gram.shape[-1]
         if criterion is Criterion.D:
-            # a Gram that overflowed reads NaN.  λ_min / λ_max >= det / trace^k, so only a Gram
-            # that fails this bound is eigensolved; the factor 2 covers the rounding of a
-            # near-singular determinant (about 1e-4 relative)
+            # only a Gram failing λ_min / λ_max >= det / trace^k is eigensolved; the factor 2
+            # covers the rounding of a near-singular determinant (about 1e-4 relative)
             with np.errstate(divide="ignore", invalid="ignore"):
                 sign, logdet = np.linalg.slogdet(gram)
-                logdet = np.where((sign > 0) & np.isfinite(logdet), logdet, np.nan)
-                bound = logdet - gram.shape[-1] * np.log(np.einsum("...ii->...", gram))
+                logdet = np.where(sign > 0, logdet, np.nan)
+                bound = logdet - k * np.log(np.einsum("...ii->...", gram))
             unsure = np.isfinite(logdet) & ~(bound > np.log(2 * EPS_SINGULAR))
             if unsure.any():
                 logdet[unsure] = np.where(_singular(_eigvalsh(gram[unsure])), np.nan, logdet[unsure])
-            return logdet
+            return logdet + (2 * k * math.log(2)) * e
         crit = _criteria(gram)
-        return crit.min_eig if criterion is Criterion.E else crit.trace_inv
+        return (crit.min_eig, 2 * e) if criterion is Criterion.E else (crit.trace_inv, -2 * e)
 
     t0 = time.perf_counter()
     try:
@@ -506,7 +514,9 @@ def select_bruteforce(
     except NoAdmissibleCandidateError:
         raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None
     if criterion is Criterion.D:
-        best_value = det_index(fisher_info(build_measurement(cand, best_subset)))
+        c, e = _unit_scaled(u[np.array(best_subset) - 1])
+        with np.errstate(over="ignore"):  # inf past the float range
+            best_value = float(np.ldexp(_det(_gram(c)), 2 * min(p, cand.r) * e))
     wall = time.perf_counter() - t0
     steps = [float("nan")] * (p - 1) + [best_value]
     return SelectionResult(Method.BRUTE, best_subset, tuple(steps), wall)

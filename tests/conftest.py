@@ -16,8 +16,8 @@ def gaussian_candidates(n: int, r: int, seed: int) -> CandidateMatrix:
 
 
 def tiny_row_candidates() -> CandidateMatrix:
-    """4 x 3 rows whose row 3 is tiny next to the others but adds its own
-    direction, so it passes the greedy skip rule; rows 1 and 2 repeat."""
+    """4 x 3 rows whose row 3 adds its own direction but is tiny next to the
+    others, below the greedy skip rule's floor; rows 1 and 2 repeat."""
     return CandidateMatrix(
         np.array(
             [

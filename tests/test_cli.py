@@ -1120,21 +1120,36 @@ class TestMainExitCodes:
         assert main([*argv, "--methods", methods, "--out", str(tmp_path)]) == 4
         assert case in capsys.readouterr().err
 
-    def test_a_tiny_row_fails_every_greedy_method_past_r(self, tmp_path, monkeypatch, capsys):
-        """The tiny-row rows: every greedy method selects (4, 1, 3), whose Gram
-        is singular, and fails at step 4; ag's p=3 record fails in evaluation."""
+    def test_a_tiny_row_fails_every_greedy_method_at_step_3(self, tmp_path, monkeypatch, capsys):
+        """The tiny-row rows: row 3 is below the skip rule's floor, so every
+        greedy method selects (4, 1) and finds no third row."""
         monkeypatch.setattr(sensorsel.data, "gen_random_system", lambda n, r, seed: tiny_row_candidates())
         argv = ["random", "--n", "4", "--r", "3", "--p-max", "4", "--methods", "ag"]
         assert main([*argv, "--out", str(tmp_path)]) == 4
-        assert "method=ag p=3 trial=0: Gram matrix is singular" in capsys.readouterr().err
+        no_direction = "step 3: every remaining row adds no direction"
+        assert f"method=ag p=3 trial=0: {no_direction}" in capsys.readouterr().err
         path = tmp_path / "tiny.csv"
         save_snapshots(SnapshotData(tiny_row_candidates().rows), path, SnapshotFormat.CSV)
         for method in ("dg", "ag", "eg"):
             argv = ["select", "--data", str(path), "--format", "csv", "--method", method]
-            assert main([*argv, "--p", "3"]) == 0
-            assert capsys.readouterr().out == "4 1 3\n"
-            assert main([*argv, "--p", "4"]) == 4
-            assert "Gram matrix is singular" in capsys.readouterr().err
+            assert main([*argv, "--p", "2"]) == 0
+            assert capsys.readouterr().out == "4 1\n"
+            assert main([*argv, "--p", "3"]) == 4
+            assert capsys.readouterr() == ("", f"numerical failure: method={method} p=3: {no_direction}\n")
+
+    def test_select_on_rows_whose_squares_overflow(self, tmp_path, capsys):
+        """Gaussian rows scaled by 1e200: every method prints the picks of the
+        unscaled rows, with no warning."""
+        rows = np.random.default_rng(50).standard_normal((15, 3))
+        for name, x in (("unit", rows), ("big", 1e200 * rows)):
+            save_snapshots(SnapshotData(x), tmp_path / f"{name}.csv", SnapshotFormat.CSV)
+        for method in (["dg"], ["ag"], ["eg"], *(["brute", "--criterion", c] for c in "dae")):
+            out = []
+            for name in ("unit", "big"):
+                argv = ["select", "--data", str(tmp_path / f"{name}.csv"), "--p", "7", "--method"]
+                assert main([*argv, *method]) == 0
+                out.append(capsys.readouterr())
+            assert out[1] == out[0] and out[0].err == ""
 
     def test_cv_p_max_above_the_valid_locations_exits_2(self, tmp_path, capsys):
         mask = np.ones(10, dtype=bool)

@@ -30,7 +30,7 @@ from sensorsel import (
     trace_inv_index,
 )
 from sensorsel import selectors
-from sensorsel.fisher import _eigvalsh
+from sensorsel.fisher import _eigvalsh, _unit_scaled
 from sensorsel.selectors import _argbest, _best_subset, _greedy, greedy_steps
 
 from conftest import gaussian_candidates, tiny_row_candidates
@@ -401,22 +401,24 @@ class TestBruteForce:
 
 def unblocked_brute_value(cand, criterion):
     """The score of one subset from one Fisher information per subset, not
-    from stacked blocks: A and D score a subset that trace_inv_index finds
-    singular as NaN."""
-    u = cand.rows
+    from stacked blocks, of the subset's rows scaled by the power of two that
+    puts their largest entry in [1/2, 1), as brute force scores them: D reads
+    the log-determinant and A and E the index, each scaled back; A and D
+    score a subset that trace_inv_index finds singular as NaN."""
 
     def value(subset):
-        info = fisher_info(SensorSet(subset, u.take([i - 1 for i in subset], axis=0)))
+        c, e = _unit_scaled(cand.rows.take([i - 1 for i in subset], axis=0))
+        info = fisher_info(SensorSet(subset, c))
         if criterion is Criterion.E:
-            return min_eig_index(info)
+            return np.ldexp(min_eig_index(info), 2 * e)
         try:
             trace_inv = trace_inv_index(info)
         except SingularInformationError:
             return math.nan
         if criterion is Criterion.A:
-            return trace_inv
+            return np.ldexp(trace_inv, -2 * e)
         sign, logdet = np.linalg.slogdet(info.matrix)
-        return logdet if sign > 0 else math.nan
+        return logdet + (2 * info.matrix.shape[0] * math.log(2)) * e if sign > 0 else math.nan
 
     return value
 
@@ -463,14 +465,19 @@ class TestBruteForceBlocks:
         expected = np.array(
             [unblocked_brute_value(cand, criterion)(s) for s in combinations(range(1, n + 1), p)]
         )
-        assert np.array_equal(seen[-1], expected, equal_nan=True)
         k = _argbest(expected, criterion is Criterion.A)
+        if criterion is not Criterion.D:  # ranked scaled by one power of two
+            expected = np.ldexp(expected, np.frexp(seen[-1][k])[1] - np.frexp(expected[k])[1])
+        assert np.array_equal(seen[-1], expected, equal_nan=True)
         best = next(islice(combinations(range(1, n + 1), p), k, None))
         assert res.indices == best
-        if criterion is Criterion.D:
-            assert res.per_step_objective[-1] == det_index(fisher_info(build_measurement(cand, best)))
+        if criterion is Criterion.D:  # the unit-scaled rows' determinant, scaled back
+            c, e = _unit_scaled(cand.rows[np.array(best) - 1])
+            det = np.ldexp(det_index(fisher_info(SensorSet(best, c))), 2 * min(p, r) * e)
+            assert res.per_step_objective[-1] == det
+            assert det == pytest.approx(det_index(fisher_info(build_measurement(cand, best))), rel=1e-14)
         else:
-            assert res.per_step_objective[-1] == expected[k]
+            assert res.per_step_objective[-1] == unblocked_brute_value(cand, criterion)(best)
         if singular:  # A and D skip, E clamps to 0
             assert (np.isnan(expected) | (expected == 0.0)).any()
 
@@ -493,15 +500,20 @@ class TestBruteForceBlocks:
         assert _best_subset(20, 1, lambda s: values[s[:, 0] - 1], minimize, r=1) == ((k + 1,), values[k])
 
     @pytest.mark.parametrize("subsets", [1, 7, None])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d_skips_the_subsets_whose_gram_overflows(self, monkeypatch, subsets):
-        # row 5 holds one entry of 1e163, so every Gram it joins overflows
+        # row 5 holds one entry of 1e163, so every raw Gram it joins overflows; next to that
+        # entry the other rows are 1e-163, so the Gram is singular: D and A skip the subset,
+        # E scores it 0, and each picks and scores as if row 5 were not there
         rows = gaussian_candidates(12, 5, seed=3).rows.copy()
         rows[4, 2] = 1e163
         self.block_size(monkeypatch, subsets, 3, 5)
-        res = select_bruteforce(CandidateMatrix(rows), 3, Criterion.D)
-        rest = select_bruteforce(CandidateMatrix(np.delete(rows, 4, axis=0)), 3, Criterion.D)
-        assert res.indices == tuple(i + (i >= 5) for i in rest.indices)
+        for criterion in Criterion:
+            res = select_bruteforce(CandidateMatrix(rows), 3, criterion)
+            rest = select_bruteforce(CandidateMatrix(np.delete(rows, 4, axis=0)), 3, criterion)
+            assert res.indices == tuple(i + (i >= 5) for i in rest.indices)
+            assert res.per_step_objective[-1] == rest.per_step_objective[-1]
+        assert select_bruteforce(CandidateMatrix(rows), 3, Criterion.D).indices == (2, 8, 12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d_past_the_float_range_picks_without_a_warning(self):
@@ -509,6 +521,14 @@ class TestBruteForceBlocks:
         res = select_bruteforce(CandidateMatrix(1e150 * cand.rows), 7, Criterion.D)
         assert res.indices == select_bruteforce(cand, 7, Criterion.D).indices
         assert res.per_step_objective[-1] == np.inf
+
+
+def select_brute_a(cand, p):
+    return select_bruteforce(cand, p, Criterion.A)
+
+
+def select_brute_e(cand, p):
+    return select_bruteforce(cand, p, Criterion.E)
 
 
 class TestSharedProperties:
@@ -520,14 +540,23 @@ class TestSharedProperties:
                 scale,
                 id=selector.__name__ if scale == 7.3 else f"{selector.__name__}-{scale:g}",
             )
-            for selector in [*GREEDY, select_brute_d]
-            for scale in (7.3, 1e-150, 1e150)
+            for selector in [*GREEDY, select_brute_d, select_brute_a, select_brute_e]
+            for scale in (7.3, 1e-150, 1e150, 2.0**1000, 2.0**-1000, 3e153, 1e-160, 1e200, 1e-200)
         ],
     )
     def test_scale_equivariance(self, selector, scale):
         cand = gaussian_candidates(15, 3, seed=50)
         scaled = CandidateMatrix(scale * cand.rows)
-        assert selector(cand, 7).indices == selector(scaled, 7).indices
+        res = selector(scaled, 7)
+        assert res.indices == selector(cand, 7).indices
+        if selector in (select_brute_d, select_brute_a, select_brute_e):
+            # the rows are 2^e times unit rows: D's value (of a 3 x 3 Gram) scales by 2^6e,
+            # A's by 2^-2e and E's by 2^2e, reading inf or 0 past the float range
+            unit, e = _unit_scaled(scaled.rows)
+            value = selector(CandidateMatrix(unit), 7).per_step_objective[-1]
+            power = {select_brute_d: 6, select_brute_a: -2, select_brute_e: 2}[selector]
+            with np.errstate(over="ignore"):
+                assert res.per_step_objective[-1] == np.ldexp(value, power * e)
 
     @pytest.mark.parametrize("selector", [select_dg, select_ag, select_eg])
     def test_permutation_equivariance(self, selector):
@@ -645,42 +674,30 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("selector", GREEDY)
     def test_entries_whose_squares_underflow(self, selector):
-        cand = CandidateMatrix(1e-200 * gaussian_candidates(15, 3, seed=50).rows)
-        with pytest.raises(NoAdmissibleCandidateError, match="step 1:"):
-            selector(cand, 7)
+        # the raw squares are 0, but the rows are scored scaled by a power of two
+        cand = gaussian_candidates(15, 3, seed=50)
+        assert selector(CandidateMatrix(1e-200 * cand.rows), 7).indices == selector(cand, 7).indices
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scores_that_overflow_are_not_called_redundant(self):
+        # at 1e-160 the raw squares are subnormal and ag's 1 / res2 would
+        # overflow, at 1e-200 the raw squares are 0; the scaled rows' scores
+        # do neither
         rows = gaussian_candidates(15, 3, seed=0).rows
-        # at 1e-160 the squares are subnormal but not zero, so not every row
-        # is skipped; ag's 1 / res2 overflows at step 1 and dg's inverse Gram
-        # at step 4, the first step past r
-        cand = CandidateMatrix(1e-160 * rows)
-        overflow = "no remaining row has a finite score"
-        with pytest.raises(NoAdmissibleCandidateError, match=f"step 1: {overflow}"):
-            select_ag(cand, 6)
-        with pytest.raises(NoAdmissibleCandidateError, match=f"step 4: {overflow}"):
-            select_dg(cand, 6)
-        assert select_eg(cand, 6).indices == (5, 3, 8, 9, 7, 13)
-        # at 1e-200 the squares are zero, so every row is skipped
-        redundant = "step 1: every remaining row adds no direction"
         for selector in GREEDY:
-            with pytest.raises(NoAdmissibleCandidateError, match=redundant):
-                selector(CandidateMatrix(1e-200 * rows), 6)
+            picks = selector(CandidateMatrix(rows), 6).indices
+            for scale in (1e-160, 1e-200):
+                assert selector(CandidateMatrix(scale * rows), 6).indices == picks
 
     @pytest.mark.parametrize("selector", GREEDY)
-    def test_a_tiny_row_passes_the_skip_rule_and_the_gram_turns_singular(self, selector):
-        # row 3 is tiny next to the others but adds its own direction; every
-        # method picks (4, 1, 3), whose Gram is singular, and fails at step 4,
-        # the first past r; ag's A-index of (4, 1, 3) fails when read
+    def test_a_tiny_row_adds_no_direction(self, selector):
+        # row 3 adds its own direction, but its squared norm is below
+        # EPS_SINGULAR of the largest; every method picks (4, 1) and finds
+        # no third row
         cand = tiny_row_candidates()
-        res = selector(cand, 3)
-        assert res.indices == (4, 1, 3)
-        if selector is select_ag:
-            with pytest.raises(SingularInformationError):
-                res.per_step_objective
-        with pytest.raises(SingularInformationError):
-            selector(cand, 4)
+        assert selector(cand, 2).indices == (4, 1)
+        with pytest.raises(NoAdmissibleCandidateError, match="step 3: every remaining row adds no direction"):
+            selector(cand, 3)
 
     @pytest.mark.parametrize("selector", GREEDY)
     @settings(max_examples=25, deadline=None)
