@@ -331,16 +331,11 @@ def observable_transform(s: SensorSet) -> tuple[np.ndarray, np.ndarray, np.ndarr
         u, svals, vt = np.linalg.svd(c, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(str(exc)) from exc
-    npair = min(s.p, s.r)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        peak = np.abs(col).max()
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * peak)
-        lead = col[nz[0]] if nz.size else 0.0
-        if lead < 0.0:
-            u[:, j] = -col
-            if j < npair:
-                vt[j, :] = -vt[j, :]
+    mag = np.abs(u)
+    lead = u[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(u.shape[1])]
+    signs = np.where(lead < 0.0, -1.0, 1.0)  # a zero column leads with 0 and keeps its sign
+    u *= signs
+    vt[: min(s.p, s.r)] *= signs[: min(s.p, s.r), None]
     return u, svals, vt.T
 
 

@@ -312,11 +312,8 @@ def _scores_that_can_win(
     """``exact`` scores of the candidates not ``excluded`` in descending order of
     ``upper``, in doubling blocks, until the next upper bound lies below the
     :func:`_argbest` tie band of the best score so far; NaN for the rest.
-
-    A non-finite bound never rules a candidate out.
     """
-    upper = np.where(np.isfinite(upper), upper, np.inf)
-    upper[excluded] = -np.inf
+    upper = np.where(excluded, -np.inf, upper)
     order = np.argsort(-upper)[: len(upper) - np.count_nonzero(excluded)]
     values = np.full(len(upper), np.nan)
     best = -np.inf
@@ -441,15 +438,16 @@ def _best_subset(
     float range and are ranked scaled by the power of two that brings the
     best into [1/2, 1).  :func:`_argbest` then picks the winner, so
     near-ties go to the lexicographically smallest subset and NaN values
-    are skipped, as in a greedy step.  Guarded by :data:`BRUTE_GUARD` on
-    the number of subsets.
+    are skipped, as in a greedy step.  The value returned is the winner's
+    v 2^x, rounded once (``inf`` or 0 past the float range).  Guarded by
+    :data:`BRUTE_GUARD` on the number of subsets.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
         raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
     size = max(1, BRUTE_BLOCK // (p * r))
     subsets = combinations(range(1, n + 1), p)
-    values, shifts = np.empty(total), np.zeros(total, np.int16)
+    values, shifts = np.empty(total), np.zeros(total, np.intc)
     for start in range(0, total, size):
         k = min(size, total - start)
         block = np.fromiter(chain.from_iterable(islice(subsets, k)), np.intp, k * p)
@@ -477,32 +475,36 @@ def select_bruteforce(
 
     The subsets are scored in blocks (see :func:`_best_subset`), each one's
     rows scaled by the power of two that puts their largest entry in
-    [1/2, 1): one stack of regime Gram matrices per block, ranked by the
-    formula of the criterion's :mod:`~sensorsel.fisher` index scaled back,
-    under D by the log-determinant.  Subsets singular under A or D are
-    skipped; D eigensolves only the Grams whose determinant and trace
-    cannot rule out singularity.  Guarded by :data:`BRUTE_GUARD` on the
-    number of subsets.  ``per_step_objective`` is NaN except for the final
-    entry, the optimal index value (``inf`` or 0 past the float range).
+    [1/2, 1): one stack of regime Gram matrices per block.  Each
+    criterion scores a subset by its :mod:`~sensorsel.fisher` index of
+    the scaled rows and the power of two that scales it back, and every
+    criterion is ranked at the scale of the best.  Subsets singular under
+    A or D are skipped; D eigensolves only the Grams whose determinant and
+    trace cannot rule out singularity.  Guarded by :data:`BRUTE_GUARD` on
+    the number of subsets.  ``per_step_objective`` is NaN except for the
+    final entry, the optimal index value (``inf`` or 0 past the float range).
     """
     u = cand.rows
     _check_p(cand.n, p)
 
-    def score(subsets: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    def score(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, e = _unit_scaled(u[subsets - 1], axis=(1, 2))
         gram = _gram(c)  # the raw rows' Gram times 2^-2e
-        k = gram.shape[-1]
         if criterion is Criterion.D:
+            k = gram.shape[-1]
+            det, x = _det(gram), 2 * k * e
             # only a Gram failing λ_min / λ_max >= det / trace^k is eigensolved; the factor 2
             # covers the rounding of a near-singular determinant (about 1e-4 relative)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sign, logdet = np.linalg.slogdet(gram)
-                logdet = np.where(sign > 0, logdet, np.nan)
-                bound = logdet - k * np.log(np.einsum("...ii->...", gram))
-            unsure = np.isfinite(logdet) & ~(bound > np.log(2 * EPS_SINGULAR))
+            with np.errstate(over="ignore"):  # a trace^k past the float range fails
+                unsure = ~(det > 2 * EPS_SINGULAR * np.einsum("...ii->...", gram) ** k)
             if unsure.any():
-                logdet[unsure] = np.where(_singular(_eigvalsh(gram[unsure])), np.nan, logdet[unsure])
-            return logdet + (2 * k * math.log(2)) * e
+                w = _eigvalsh(gram[unsure])
+                # a determinant past the float range (so is its trace^k) is the product of the
+                # eigenvalues, kept as their mantissas' product and their exponents' sum
+                (m, xw), over = np.frexp(w), np.isinf(det[unsure])
+                det[unsure] = np.where(_singular(w), np.nan, np.where(over, m.prod(-1), det[unsure]))
+                x[unsure] += np.where(over, xw.sum(-1), 0)
+            return det, x
         crit = _criteria(gram)
         return (crit.min_eig, 2 * e) if criterion is Criterion.E else (crit.trace_inv, -2 * e)
 
@@ -513,10 +515,6 @@ def select_bruteforce(
         )
     except NoAdmissibleCandidateError:
         raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None
-    if criterion is Criterion.D:
-        c, e = _unit_scaled(u[np.array(best_subset) - 1])
-        with np.errstate(over="ignore"):  # inf past the float range
-            best_value = float(np.ldexp(_det(_gram(c)), 2 * min(p, cand.r) * e))
     wall = time.perf_counter() - t0
     steps = [float("nan")] * (p - 1) + [best_value]
     return SelectionResult(Method.BRUTE, best_subset, tuple(steps), wall)

@@ -220,14 +220,14 @@ def assert_eg_equals_unpruned(rows):
 
 
 def assert_bounds_hold(cand):
-    """At every step, every unselected candidate's exact score is at or
-    below its upper bound, slack included."""
+    """At every step, every candidate the step may pick has a finite upper
+    bound, slack included, at or above its exact score."""
     prune = selectors._scores_that_can_win
 
     def check(upper, exact, excluded):
         rest = np.flatnonzero(~excluded)
         values, bounds = exact(rest), upper[rest]
-        bad = np.isfinite(bounds) & ~(values <= bounds)
+        bad = ~np.isfinite(bounds) | ~(values <= bounds)
         assert not bad.any(), (np.count_nonzero(excluded), rest[bad], values[bad], bounds[bad])
         return prune(upper, exact, excluded)
 
@@ -293,16 +293,16 @@ class TestEGPruning:
         assert len(scored) == 5 * 19  # every step after the first
         assert np.mean(scored) <= 16
 
-    def test_a_bound_that_is_not_finite_never_prunes(self, monkeypatch):
+    def test_blocks_double_until_the_next_bound_is_below_the_best(self, monkeypatch):
         monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)
-        upper = np.array([5.0, np.nan, np.inf, -np.inf, 0.5, 0.4, 0.3, 0.2, 100.0])
-        exact = np.array([4.0, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
+        upper = np.array([5.0, 0.9, 0.8, 0.7, 0.5, 0.4, 0.3, 0.2, 100.0])
+        exact = np.array([0.05, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
         values = selectors._scores_that_can_win(
             upper, lambda idx: exact[idx], np.arange(9) == 8
         )
-        # blocks of 1, 2 and 4 rows: the three rows whose bound is not finite
-        # are scored first, row 7's bound falls below the best (4.0), and
-        # the excluded row 8 is never scored
+        # blocks of 1, 2 and 4 rows in descending bound order, after which
+        # row 7's bound (0.2) falls below the best (0.45); the excluded
+        # row 8 is never scored
         np.testing.assert_array_equal(values, [*exact[:7], np.nan, np.nan])
 
     def test_an_excluded_row_is_never_scored(self, monkeypatch):
@@ -310,7 +310,7 @@ class TestEGPruning:
         # direction), has the highest finite bound; the other rows are
         # all scored, as no bound falls below the best of the rest (0.45)
         monkeypatch.setattr(selectors, "EG_FIRST_BLOCK", 1)
-        upper = np.array([5.0, np.nan, np.inf, -np.inf, 0.5, 0.4, 0.3, 0.2, 100.0])
+        upper = np.array([5.0, 0.9, 0.8, 0.7, 0.5, 0.4, 0.3, 0.2, 100.0])
         exact = np.array([4.0, 0.1, 0.2, 0.3, 0.45, 0.35, 0.25, 0.15, 50.0])
         excluded = np.isin(np.arange(9), [0, 8])
         values = selectors._scores_that_can_win(upper, lambda idx: exact[idx], excluded)
@@ -398,13 +398,53 @@ class TestBruteForce:
         subset, value = _best_subset(3, 1, lambda s: values[s[:, 0] - 1], minimize, r=1)
         assert (subset, value) == ((k + 1,), values[k])
 
+    @pytest.mark.parametrize("power", [0, 500, -500, 1000, -1000])
+    def test_tie_band_is_free_of_scale(self, power):
+        # squared norms 1.5e-12 apart lie outside the 1e-12 tie band at any scale
+        rows = np.ldexp([[0.75], [0.75 * math.sqrt(1 + 1.5e-12)]], power)
+        cand = CandidateMatrix(rows)
+        for criterion in Criterion:
+            assert select_bruteforce(cand, 1, criterion).indices == (2,), criterion
+        assert select_dg(cand, 1).indices == (2,)
+
+    @pytest.mark.parametrize("power", [0, 300, 700])
+    def test_d_tie_band_is_free_of_scale_on_three_rows(self, power):
+        # rows 4-6 copy rows 1-3 with entry (4, 1) larger by 2e-12, so the
+        # subsets with row 4 in place of row 1, (2, 3, 4) the first, beat
+        # (1, 2, 3) by 9e-12 relative, outside the tie band at any scale
+        rows = np.random.default_rng(5).standard_normal((3, 3))
+        copy = rows.copy()
+        copy[0, 0] *= 1 + 2e-12
+        cand = CandidateMatrix(np.ldexp(np.vstack([rows, copy]), power))
+        assert select_bruteforce(cand, 3, Criterion.D).indices == (2, 3, 4)
+
+    @pytest.mark.parametrize("power", [1000, -1060])
+    def test_d_exponent_of_a_wide_gram_keeps_its_range(self, power):
+        # a 17 x 17 Gram of rows near 2^±1000 scales back by about 2^±34000,
+        # past the range of a 16-bit integer; the value reads inf or 0
+        rows = gaussian_candidates(19, 17, seed=54).rows
+        res = select_bruteforce(CandidateMatrix(np.ldexp(rows, power)), 17, Criterion.D)
+        assert res.indices == select_bruteforce(CandidateMatrix(rows), 17, Criterion.D).indices
+        assert res.per_step_objective[-1] == (np.inf if power > 0 else 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_d_determinant_past_the_float_range_of_the_scaled_rows(self):
+        # the rows scaled to entries of ±1/2 have the Gram 64 I, whose determinant
+        # 2^1536 lies past the float range, though the raw rows' 2^512 does not
+        cand = CandidateMatrix(np.ldexp(scipy.linalg.hadamard(256), -3))
+        res = select_bruteforce(cand, 256, Criterion.D)
+        assert res.indices == tuple(range(1, 257))
+        assert res.per_step_objective[-1] == 2.0**512
+        raw = fisher_info(build_measurement(cand, res.indices))
+        assert res.per_step_objective[-1] == pytest.approx(det_index(raw), rel=1e-12)
+
 
 def unblocked_brute_value(cand, criterion):
     """The score of one subset from one Fisher information per subset, not
     from stacked blocks, of the subset's rows scaled by the power of two that
-    puts their largest entry in [1/2, 1), as brute force scores them: D reads
-    the log-determinant and A and E the index, each scaled back; A and D
-    score a subset that trace_inv_index finds singular as NaN."""
+    puts their largest entry in [1/2, 1), as brute force scores them: the
+    index, scaled back; A and D score a subset that trace_inv_index finds
+    singular as NaN."""
 
     def value(subset):
         c, e = _unit_scaled(cand.rows.take([i - 1 for i in subset], axis=0))
@@ -417,10 +457,12 @@ def unblocked_brute_value(cand, criterion):
             return math.nan
         if criterion is Criterion.A:
             return np.ldexp(trace_inv, -2 * e)
-        sign, logdet = np.linalg.slogdet(info.matrix)
-        return logdet + (2 * info.matrix.shape[0] * math.log(2)) * e if sign > 0 else math.nan
+        return np.ldexp(det_index(info), 2 * info.matrix.shape[0] * e)
 
     return value
+
+
+INDEX = {Criterion.D: det_index, Criterion.A: trace_inv_index, Criterion.E: min_eig_index}
 
 
 def candidates_with_singular_subsets(n, r, seed):
@@ -466,18 +508,15 @@ class TestBruteForceBlocks:
             [unblocked_brute_value(cand, criterion)(s) for s in combinations(range(1, n + 1), p)]
         )
         k = _argbest(expected, criterion is Criterion.A)
-        if criterion is not Criterion.D:  # ranked scaled by one power of two
-            expected = np.ldexp(expected, np.frexp(seen[-1][k])[1] - np.frexp(expected[k])[1])
+        best_value = expected[k]
+        # ranked scaled by one power of two
+        expected = np.ldexp(expected, np.frexp(seen[-1][k])[1] - np.frexp(best_value)[1])
         assert np.array_equal(seen[-1], expected, equal_nan=True)
         best = next(islice(combinations(range(1, n + 1), p), k, None))
         assert res.indices == best
-        if criterion is Criterion.D:  # the unit-scaled rows' determinant, scaled back
-            c, e = _unit_scaled(cand.rows[np.array(best) - 1])
-            det = np.ldexp(det_index(fisher_info(SensorSet(best, c))), 2 * min(p, r) * e)
-            assert res.per_step_objective[-1] == det
-            assert det == pytest.approx(det_index(fisher_info(build_measurement(cand, best))), rel=1e-14)
-        else:
-            assert res.per_step_objective[-1] == unblocked_brute_value(cand, criterion)(best)
+        assert res.per_step_objective[-1] == best_value
+        raw = fisher_info(build_measurement(cand, best))
+        assert best_value == pytest.approx(INDEX[criterion](raw), rel=1e-14)
         if singular:  # A and D skip, E clamps to 0
             assert (np.isnan(expected) | (expected == 0.0)).any()
 
