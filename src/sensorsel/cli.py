@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -103,15 +104,13 @@ class ExperimentRecord:
     recon_error: float
     wall_time_s: float
 
-    def row(self) -> list[str]:
-        """CSV cells: floats by ``repr``, tuples space-joined, the rest by ``str``."""
-        return [_cell(getattr(self, name)) for name in _RECORD_HEADER]
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, tuple):
-        return " ".join(str(i) for i in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    def row(self) -> tuple:
+        """CSV cells, tuples space-joined; ``"%s"`` writes a float by its ``repr``."""
+        return (
+            self.method, self.p, self.trial, " ".join(map(str, self.indices)),
+            " ".join(map(str, self.locations)), self.det_index, self.trace_inv_index,
+            self.min_eig_index, self.recon_error, self.wall_time_s,
+        )
 
 
 _RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
@@ -136,30 +135,36 @@ def _unit_records(
     number: int,
     seed_keys: tuple[int, ...],
     z_true: np.ndarray,
-    observe: Callable[[SelectionResult, np.ndarray, tuple[int, ...]], np.ndarray],
+    observe: Callable[[list[SelectionResult], np.ndarray, np.ndarray], np.ndarray],
 ) -> list[ExperimentRecord]:
     """Records of one trial or fold, in run order: each method's selection at
     each p, the Fisher indices of its rows of ``cand``, and the error of
-    reconstructing ``z_true`` from ``observe(sel, rows, locs)``, where
-    ``locs`` are the ``locations`` (1-based) of the picked rows.
+    reconstructing ``z_true`` from its observation.  ``observe(sels, rows,
+    locs)`` returns the observations (M, p, m) of the M selections ``sels``
+    of one p, given their rows (M, p, r) of ``cand`` and their ``locations``
+    (M, p; 1-based).
 
     A greedy method runs once: its selection for p is the p-th result of
     one stepwise run, advanced only as far as the largest p so far, so a
     failing step is named by the first p that needs it.  ``random`` draws
     each p with seed ``derive_seed(*seed_keys, p)``.
 
-    Each record forms its regime Gram once.  The Grams of one shape (one
-    group per p <= r, one for all p > r) are stacked for one ``det`` and
-    one ``fisher._criteria``, which give each matrix the bits of a call on
-    it alone; the ``np.linalg.solve`` of ``fisher.estimate`` stays per record.
+    The rows, observations and Grams of one p are formed in one stack.
+    The Grams of one shape group (one group per p <= r, one for all p > r)
+    get one ``det``, one ``fisher._criteria`` and one ``np.linalg.solve``,
+    with the singular Grams masked out, and their errors' norms are one
+    stacked dot: each record gets the bits of a call on it alone.  An
+    error that is not finite, or whose reference is not, is recomputed
+    by ``fisher.reconstruction_error``.
 
     The failure raised is the one a run that evaluates each selection as
     it is made would hit first: selecting stops at the first failure, the
-    selections before it are evaluated in order and the first that fails
+    selections before it are checked in run order and the first that fails
     is raised, or else the selection failure.  A group whose stacked
-    eigensolve fails has its records solved alone, in run order.
+    eigensolve fails has its records solved alone, in that run-order pass.
     """
-    selected: list[tuple[SelectionResult, np.ndarray, tuple[int, ...]]] = []
+    selected: list[SelectionResult] = []
+    by_p: dict[int, list[int]] = {}  # p -> its records
     failure = None
     try:
         for method in methods:
@@ -174,39 +179,67 @@ def _unit_records(
                         while len(prefixes) < p:
                             prefixes.append(next(steps))
                         sel = prefixes[p - 1]
-                locs = tuple(locations[[i - 1 for i in sel.indices]].tolist())
-                selected.append((sel, cand.take(sel.indices), locs))
+                by_p.setdefault(p, []).append(len(selected))
+                selected.append(sel)
     except SensorSelError as exc:
         failure = exc
-    grams = [fisher._gram(c) for _, c, _ in selected]
-    det, trace_inv, min_eig = np.empty((3, len(grams)))
-    eigvals: dict[int, np.ndarray] = {}
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, gram in enumerate(grams):
-        groups.setdefault(gram.shape, []).append(k)
-    for idx in groups.values():
-        stack = np.stack([grams[k] for k in idx])
-        det[idx] = fisher._det(stack)
+    locs: dict[int, tuple[int, ...]] = {}
+    stacks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # p -> (C, Gram, y)
+    groups: dict[int, list[int]] = {}  # p, or r + 1 for every p > r -> its p values
+    for p, ks in by_p.items():
+        rows = np.array([selected[k].indices for k in ks]) - 1
+        c, loc = cand.rows[rows], locations[rows]
+        locs.update(zip(ks, map(tuple, loc.tolist())))
+        stacks[p] = c, fisher._gram(c), observe([selected[k] for k in ks], c, loc)
+        groups.setdefault(min(p, cand.r + 1), []).append(p)
+    with np.errstate(over="ignore"):
+        reference = float(np.linalg.norm(z_true))
+    reference = reference if 0.0 < reference < math.inf else math.nan  # else all are recomputed
+    det, trace_inv, min_eig, error = np.empty((4, len(selected)))
+    alone: set[int] = set()  # records solved alone below, in run order
+    redo: dict[int, np.ndarray] = {}  # record -> its estimate, whose error is recomputed below
+    for side, ps in groups.items():
+        ks = [k for p in ps for k in by_p[p]]
+        gram = np.concatenate([stacks[p][1] for p in ps])
+        det[ks] = fisher._det(gram)
         try:
-            w, trace_inv[idx], min_eig[idx] = fisher._criteria(stack)
+            w, trace_inv[ks], min_eig[ks] = fisher._criteria(gram)
         except EigenSolverError:
-            continue  # its records are solved alone, in run order, below
-        eigvals.update(zip(idx, w))
-    records = []
-    for k, (sel, c, locs) in enumerate(selected):
-        with _naming_case(f"method={sel.method.value} p={len(sel.indices)} {unit}={number}"):
-            if k not in eigvals:
-                eigvals[k], trace_inv[k], min_eig[k] = fisher._criteria(grams[k])
-            fisher._require_nonsingular(eigvals[k])
-            z_est = fisher._pinv_apply(c, grams[k], observe(sel, c, locs))
-            recon_error = fisher.reconstruction_error(z_true, z_est)
-        records.append(ExperimentRecord(
-            sel.method.value, len(sel.indices), number, sel.indices, locs,
-            float(det[k]), float(trace_inv[k]), float(min_eig[k]), recon_error, sel.wall_time,
-        ))
+            alone.update(ks)
+            continue
+        singular = fisher._singular(w)
+        alone.update(ks[j] for j in np.flatnonzero(singular))  # each raises its own failure
+        gram[singular] = np.eye(gram.shape[-1])  # so that they are left out of the solve
+        if side <= cand.r:
+            c, _, y = stacks[side]
+            z_est = fisher._pinv_apply(c, gram, y)
+        else:
+            cty = [np.swapaxes(c, -1, -2) @ y for c, _, y in map(stacks.get, ps)]
+            z_est = np.linalg.solve(gram, np.concatenate(cty))
+        with np.errstate(all="ignore"):  # such an error is recomputed below
+            diff = (z_est - z_true).reshape(len(ks), 1, -1)
+            error[ks] = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[:, 0, 0] / reference
+        redo.update((ks[j], z_est[j]) for j in np.flatnonzero(~np.isfinite(error[ks])))
+    for k in sorted(alone | redo.keys()):
+        sel = selected[k]
+        p = len(sel.indices)
+        with _naming_case(f"method={sel.method.value} p={p} {unit}={number}"):
+            if k in alone:
+                c, gram, y = (stack[by_p[p].index(k)] for stack in stacks[p])
+                w, trace_inv[k], min_eig[k] = fisher._criteria(gram)
+                fisher._require_nonsingular(w)
+                redo[k] = fisher._pinv_apply(c, gram, y)
+            if k in redo:
+                error[k] = fisher.reconstruction_error(z_true, redo[k])
     if failure is not None:
         raise failure
-    return records
+    columns = zip(det.tolist(), trace_inv.tolist(), min_eig.tolist(), error.tolist())
+    return [
+        ExperimentRecord(
+            sel.method.value, len(sel.indices), number, sel.indices, locs[k], *cells, sel.wall_time
+        )
+        for k, (sel, cells) in enumerate(zip(selected, columns))
+    ]
 
 
 def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
@@ -219,14 +252,13 @@ def run_random(cfg: ExperimentConfig) -> tuple[Path, Path]:
         cand = data_mod.gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
         z = data_mod.gen_latent(cfg.r, 1, derive_seed(cfg.seed, trial, 1))
 
-        def observe(sel: SelectionResult, rows: np.ndarray, locs: tuple[int, ...]) -> np.ndarray:
+        def observe(sels: list[SelectionResult], rows: np.ndarray, locs: np.ndarray) -> np.ndarray:
             y = rows @ z
             if cfg.sigma > 0:
-                code, p = _METHOD_CODE[sel.method], len(sel.indices)
-                noise_rng = np.random.Generator(
-                    np.random.PCG64(derive_seed(cfg.seed, trial, 3, code, p))
-                )
-                y = y + cfg.sigma * noise_rng.standard_normal(y.shape)
+                p, m = y.shape[1:]
+                seeds = [derive_seed(cfg.seed, trial, 3, _METHOD_CODE[s.method], p) for s in sels]
+                noise = [np.random.default_rng(seed).standard_normal((p, m)) for seed in seeds]
+                y = y + cfg.sigma * np.stack(noise)
             return y
 
         records += _unit_records(
@@ -285,7 +317,7 @@ def _fold_records(
     seed_keys = (seed, fold, 2, _METHOD_CODE[Method.RANDOM])
     return _unit_records(
         cand, locations, methods, p_values, "fold", fold, seed_keys, z_true,
-        lambda sel, rows, locs: x_test[[i - 1 for i in locs], :],
+        lambda sels, rows, locs: x_test[locs - 1],
     )
 
 
@@ -302,10 +334,11 @@ def _emit(
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write the bytes ``csv.writer`` would: ``str`` cells joined by commas,
-    lines ended by ``\\r\\n``.  A row must have one cell per column and no
-    cell may need quoting: each block's text must hold no quote, one comma
-    per cell boundary and one line break per line, or it is not written."""
+    """Write the bytes ``csv.writer`` would: cells by ``"%s"`` (``str``, so a
+    float by its ``repr``) joined by commas, lines ended by ``\\r\\n``.  A
+    row must have one cell per column and no cell may need quoting: each
+    block's text must hold no quote, one comma per cell boundary and one line
+    break per line, or it is not written."""
     line = ",".join(["%s"] * len(header)) + "\r\n"
     rows = chain([header], rows)
     with path.open("w", newline="") as fh:
@@ -320,32 +353,34 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
 def _summary_rows(records: list[ExperimentRecord]) -> list[list[str]]:
     """Per-(method, p) metric means in long format, plus DG-normalized means.
 
-    Each group's means are one ``np.mean`` over the contiguous last axis of
-    its metrics (records in input order), so they keep NumPy's pairwise sum.
+    Every (method, p) group must hold the same number of records, one per
+    trial or fold.  The means are one ``np.mean`` over the last axis of a
+    (metric, group, unit) array, each group's records in input order, so
+    each keeps NumPy's pairwise sum of its list.
     """
     names = [*_NORMALIZED_METRICS, "wall_time_s"]
     key_of = attrgetter("method", "p")
     records = sorted(records, key=key_of)
-    values = np.array([np.fromiter(map(attrgetter(name), records), float) for name in names])
     sizes = Counter(map(key_of, records))  # the (method, p) groups, in sorted order
-    means = np.empty((len(sizes), len(names)))
-    start = 0
-    for g, size in enumerate(sizes.values()):
-        means[g] = np.mean(values[:, start : start + size], axis=-1)
-        start += size
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"(method, p) groups of unequal sizes: {dict(sizes)}")
+    values = np.array([np.fromiter(map(attrgetter(name), records), float) for name in names])
+    means = np.mean(values.reshape(len(names), len(sizes), -1), axis=-1).T
     keys = list(sizes)
     dg_group = {p: g for g, (method, p) in enumerate(keys) if method == Method.DG.value}
     # IEEE division: a dg mean of 0 gives inf, or nan for 0/0 (a group with
     # no dg group at its p divides by itself, and its ratios are not written)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = means / means[[dg_group.get(p, g) for g, (_, p) in enumerate(keys)]]
+    labels = [(f"{name}_mean", f"{name}_mean_dgnorm") for name in _NORMALIZED_METRICS]
     rows = []
     for (method, p), mean, ratio in zip(keys, means.tolist(), ratios.tolist()):
-        for name, value, norm in zip(_NORMALIZED_METRICS, mean, ratio):
-            rows.append([method, str(p), f"{name}_mean", repr(value)])
-            if p in dg_group:
-                rows.append([method, str(p), f"{name}_mean_dgnorm", repr(norm)])
-        rows.append([method, str(p), "wall_time_s_mean", repr(mean[-1])])
+        normalized, p = p in dg_group, str(p)
+        for (label, norm_label), value, norm in zip(labels, mean, ratio):
+            rows.append([method, p, label, repr(value)])
+            if normalized:
+                rows.append([method, p, norm_label, repr(norm)])
+        rows.append([method, p, "wall_time_s_mean", repr(mean[-1])])
     return rows
 
 

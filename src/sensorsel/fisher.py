@@ -214,24 +214,28 @@ class _Criteria(NamedTuple):
 def _criteria(gram: np.ndarray) -> _Criteria:
     """One eigensolve of a Gram (k, k), or of each in a stack (..., k, k): the
     ascending eigenvalues ``w``; the trace of the inverse, ``sum(1 / w)``, NaN
-    where :func:`_singular`; and the least eigenvalue, zero where its magnitude
-    is at most ``EPS_SINGULAR`` times the largest's (both 0-d for one Gram)."""
+    where :func:`_singular`, ``inf`` past the float range; and the least
+    eigenvalue, zero where its magnitude is at most ``EPS_SINGULAR`` times the
+    largest's (both 0-d for one Gram)."""
     w = _eigvalsh(gram)
     finite = w.copy()
     finite[_singular(w)] = np.nan  # so that no singular Gram divides by zero
     lam, top = w[..., 0][()], w[..., -1][()]  # as in _singular
     min_eig = w[..., 0].copy()
     min_eig[abs(lam) <= EPS_SINGULAR * abs(top)] = 0.0
-    return _Criteria(w, np.add.reduce(1.0 / finite, axis=-1), min_eig)
+    with np.errstate(over="ignore"):
+        return _Criteria(w, np.add.reduce(1.0 / finite, axis=-1), min_eig)
 
 
 def _pinv_apply(c: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`estimate`'s arithmetic on a measurement ``c`` and its regime
-    Gram ``gram``, which must pass the singularity test: one
-    ``np.linalg.solve`` on the Gram."""
-    if c.shape[0] <= c.shape[1]:
-        return c.T @ np.linalg.solve(gram, y)
-    return np.linalg.solve(gram, c.T @ y)
+    Gram ``gram``, which must pass the singularity test, or on each in a
+    stack of one shape: one ``np.linalg.solve`` on the Gram (each system
+    of a stack gets the bits of a solve on it alone)."""
+    ct = np.swapaxes(c, -1, -2)
+    if c.shape[-2] <= c.shape[-1]:
+        return ct @ np.linalg.solve(gram, y)
+    return np.linalg.solve(gram, ct @ y)
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:
@@ -269,7 +273,8 @@ def det_index(f: FisherInfo) -> float:
 
 
 def trace_inv_index(f: FisherInfo) -> float:
-    """Trace of the inverse of the regime Gram matrix (the A-optimality index).
+    """Trace of the inverse of the regime Gram matrix (the A-optimality index),
+    ``inf`` past the float range (rows around 1e-155), as :func:`det_index`.
 
     Raises
     ------

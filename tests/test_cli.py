@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import count
 from pathlib import Path
 
@@ -210,36 +211,25 @@ class TestRunRandom:
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_record_forms_one_gram_and_one_eigensolve(self, monkeypatch, p):
-        """In a batch, each record forms its Gram once and each shape group runs one eigensolve."""
-        grams = []
-
-        class GramCounter(np.ndarray):
-            """A measurement matrix that counts its products with its own transpose."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                plain = [np.asarray(x) for x in inputs]
-                if ufunc is np.matmul and np.shares_memory(*plain):
-                    grams.append(plain[0].shape)
-                return getattr(ufunc, method)(*plain, **kwargs)
-
-        class CountingCandidates(CandidateMatrix):
-            def take(self, indices):
-                return super().take(indices).view(GramCounter)
-
-        eigensolves = []
-        eigvalsh = fisher._eigvalsh
+        """Each p forms its stack of Grams once, and each group of one Gram
+        shape (one per p <= r, one for all p > r) runs one eigensolve and one solve."""
+        grams, eigensolves, solves = [], [], []
+        gram, eigvalsh, solve = fisher._gram, fisher._eigvalsh, np.linalg.solve
+        monkeypatch.setattr(fisher, "_gram", lambda c: grams.append(c.shape) or gram(c))
         monkeypatch.setattr(fisher, "_eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
-        cand = CountingCandidates(gen_random_system(8, 3, 0).rows)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        cand = gen_random_system(8, 3, 0)
         z = gen_latent(3, 1, 1)
         sizes = [p, 1, p, 4]
         records = cli._unit_records(
             cand, np.arange(1, 9), [Method.RANDOM], sizes, "trial", 0, (0,), z,
-            lambda sel, rows, locs: rows @ z,
+            lambda sels, rows, locs: rows @ z,
         )
         assert [rec.p for rec in records] == sizes
-        assert [shape[0] for shape in grams] == [min(q, 3) for q in sizes]
-        sides = [min(q, 3) for q in sizes]
-        assert sorted(eigensolves) == sorted((sides.count(m), m, m) for m in set(sides))
+        assert sorted(grams) == sorted((sizes.count(q), q, 3) for q in set(sizes))
+        groups = Counter(min(q, 4) for q in sizes)  # p, or 4 for every p > r = 3
+        shapes = sorted((count, min(g, 3), min(g, 3)) for g, count in groups.items())
+        assert sorted(eigensolves) == sorted(solves) == shapes
 
     def test_dg_normalized_rows_are_exactly_one(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -482,11 +472,18 @@ def test_cv_on_snapshots_whose_squares_overflow(tmp_path, capfd):
 class TestBatchEvaluation:
     """The stacked evaluation gives every record the bits of the per-record path."""
 
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"r": 1}, {"p_min": 6, "p_max": 6}, {"methods": [Method.EG]}],
+        ids=["r4", "1x1-grams", "one-p", "one-method"],
+    )
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_random_records_equal_the_per_record_path(self, tmp_path, sigma):
-        cfg = small_config(tmp_path, n=30, r=4, p_min=1, p_max=9, trials=3, sigma=sigma)
+    def test_random_records_equal_the_per_record_path(self, tmp_path, sigma, shape):
+        cfg = small_config(tmp_path, **{"n": 30, "r": 4, "p_min": 1, "p_max": 9, "trials": 3, **shape})
+        cfg.sigma = sigma
         rows = read_csv(run_random(cfg)[0])[1:]
-        assert {int(row[1]) for row in rows} == set(range(1, 10))
+        assert {int(row[1]) for row in rows} == set(range(cfg.p_min, cfg.p_max + 1))
+        assert {row[0] for row in rows} == {method.value for method in cfg.methods}
         for method, p, trial, indices, _, *cells, _ in rows:
             trial, indices = int(trial), tuple(int(i) for i in indices.split())
             cand = gen_random_system(cfg.n, cfg.r, derive_seed(cfg.seed, trial, 0))
@@ -518,6 +515,44 @@ class TestBatchEvaluation:
                 cells = [repr(rec.det_index), repr(rec.trace_inv_index)]
                 cells += [repr(rec.min_eig_index), repr(rec.recon_error)]
                 assert cells == reference_cells(cand, rec.indices, z_true, y)
+
+    def test_the_first_failing_record_in_run_order_is_named_across_groups(self, monkeypatch):
+        """At r = 3 with p in the order 4, 2, 5, the p=2 and p=5 records are
+        singular; p=5 shares the p > r group with p=4, evaluated before p=2's."""
+        e1, e2, e3 = np.eye(3)
+        cand = CandidateMatrix([e1, 2.0 * e1, e2, e3, e1 + e2, e1 - e2])
+        picks = {4: (1, 3, 4, 5), 2: (1, 2), 5: (1, 2, 3, 5, 6)}  # rank 3, 1 and 2
+
+        def fixed(cand, p, method, seed):
+            return SelectionResult(method, picks[p], (np.nan,) * p, 0.0)
+
+        monkeypatch.setattr(cli, "run_selector", fixed)
+        z = gen_latent(3, 1, 1)
+        with pytest.raises(SingularInformationError, match="^method=random p=2 trial=0: Gram matrix is singular"):
+            cli._unit_records(
+                cand, np.arange(1, 7), [Method.RANDOM], [4, 2, 5], "trial", 0, (0,), z,
+                lambda sels, rows, locs: rows @ z,
+            )
+
+    def test_an_error_whose_reference_overflows_equals_the_per_record_path(self):
+        """Past r the estimate is exact to rounding, so the norm of the error is
+        finite while the reference's overflows: such an error is recomputed."""
+        cand = gen_random_system(12, 3, 0)
+        z = 1e160 * gen_latent(3, 1, 1)
+        records = cli._unit_records(
+            cand, np.arange(1, 13), [Method.DG, Method.RANDOM], range(1, 7), "trial", 0, (0,), z,
+            lambda sels, rows, locs: rows @ z,
+        )
+        for rec in records:
+            cells = [repr(rec.det_index), repr(rec.trace_inv_index), repr(rec.min_eig_index)]
+            cells.append(repr(rec.recon_error))
+            assert cells == reference_cells(cand, rec.indices, z, cand.take(rec.indices) @ z)
+        assert all(0.0 < rec.recon_error < 1e-12 for rec in records if rec.p > 3)
+        with pytest.raises(NumericalError, match="^method=dg p=1 trial=0: true latent matrix has zero norm"):
+            cli._unit_records(
+                cand, np.arange(1, 13), [Method.DG], [1, 2], "trial", 0, (0,), 0.0 * z,
+                lambda sels, rows, locs: rows @ z,
+            )
 
     def test_records_are_solved_alone_when_every_stacked_eigensolve_fails(self, tmp_path, monkeypatch):
         plain = run_random(small_config(tmp_path, out_dir=str(tmp_path / "plain")))

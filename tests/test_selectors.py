@@ -728,6 +728,15 @@ class TestDegenerateInputs:
             for scale in (1e-160, 1e-200):
                 assert selector(CandidateMatrix(scale * rows), 6).indices == picks
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_a_index_of_subnormal_eigenvalues_reads_inf_without_a_warning(self, scale):
+        # the Gram eigenvalues are subnormal, so 1 / w leaves the float
+        # range; the picks are the unit-scale rows' (tier-1 makes a
+        # RuntimeWarning an error)
+        res = select_ag(CandidateMatrix(scale * gaussian_candidates(15, 3, seed=50).rows), 7)
+        assert res.indices == (8, 5, 12, 15, 6, 2, 13)
+        assert res.per_step_objective == (math.inf,) * 7
+
     @pytest.mark.parametrize("selector", GREEDY)
     def test_a_tiny_row_adds_no_direction(self, selector):
         # row 3 adds its own direction, but its squared norm is below
