@@ -151,17 +151,16 @@ def _unit_records(
 
     The rows, observations and Grams of one p are formed in one stack.
     The Grams of one shape group (one group per p <= r, one for all p > r)
-    get one ``det``, one ``fisher._criteria`` and one ``np.linalg.solve``,
-    with the singular Grams masked out, and their errors' norms are one
-    stacked dot: each record gets the bits of a call on it alone.  An
-    error that is not finite, or whose reference is not, is recomputed
-    by ``fisher.reconstruction_error``.
+    get one ``det``, ``fisher._criteria`` and ``fisher._pinv_apply`` (the
+    singular ones solved as the identity) and their errors' norms one dot,
+    each record getting the bits of a call on it alone.  A record that this
+    does not settle (its group's eigensolve failed, its Gram is singular, or
+    its error or reference is not finite) takes the per-record fisher path.
 
     The failure raised is the one a run that evaluates each selection as
     it is made would hit first: selecting stops at the first failure, the
     selections before it are checked in run order and the first that fails
-    is raised, or else the selection failure.  A group whose stacked
-    eigensolve fails has its records solved alone, in that run-order pass.
+    is raised, or else the selection failure.
     """
     selected: list[SelectionResult] = []
     by_p: dict[int, list[int]] = {}  # p -> its records
@@ -184,53 +183,45 @@ def _unit_records(
     except SensorSelError as exc:
         failure = exc
     locs: dict[int, tuple[int, ...]] = {}
-    stacks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # p -> (C, Gram, y)
+    stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # p -> (C, y)
     groups: dict[int, list[int]] = {}  # p, or r + 1 for every p > r -> its p values
     for p, ks in by_p.items():
         rows = np.array([selected[k].indices for k in ks]) - 1
         c, loc = cand.rows[rows], locations[rows]
         locs.update(zip(ks, map(tuple, loc.tolist())))
-        stacks[p] = c, fisher._gram(c), observe([selected[k] for k in ks], c, loc)
+        stacks[p] = c, observe([selected[k] for k in ks], c, loc)
         groups.setdefault(min(p, cand.r + 1), []).append(p)
     with np.errstate(over="ignore"):
         reference = float(np.linalg.norm(z_true))
-    reference = reference if 0.0 < reference < math.inf else math.nan  # else all are recomputed
+    reference = reference if 0.0 < reference < math.inf else math.nan  # else all go alone
     det, trace_inv, min_eig, error = np.empty((4, len(selected)))
-    alone: set[int] = set()  # records solved alone below, in run order
-    redo: dict[int, np.ndarray] = {}  # record -> its estimate, whose error is recomputed below
-    for side, ps in groups.items():
+    for ps in groups.values():
         ks = [k for p in ps for k in by_p[p]]
-        gram = np.concatenate([stacks[p][1] for p in ps])
+        cs, ys = zip(*map(stacks.get, ps))
+        gram = np.concatenate([fisher._gram(c) for c in cs])
         det[ks] = fisher._det(gram)
         try:
             w, trace_inv[ks], min_eig[ks] = fisher._criteria(gram)
         except EigenSolverError:
-            alone.update(ks)
+            error[ks] = math.nan
             continue
         singular = fisher._singular(w)
-        alone.update(ks[j] for j in np.flatnonzero(singular))  # each raises its own failure
         gram[singular] = np.eye(gram.shape[-1])  # so that they are left out of the solve
-        if side <= cand.r:
-            c, _, y = stacks[side]
-            z_est = fisher._pinv_apply(c, gram, y)
-        else:
-            cty = [np.swapaxes(c, -1, -2) @ y for c, _, y in map(stacks.get, ps)]
-            z_est = np.linalg.solve(gram, np.concatenate(cty))
-        with np.errstate(all="ignore"):  # such an error is recomputed below
+        z_est = fisher._pinv_apply(cs, gram, ys)
+        with np.errstate(all="ignore"):  # such a record is evaluated alone below
             diff = (z_est - z_true).reshape(len(ks), 1, -1)
-            error[ks] = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[:, 0, 0] / reference
-        redo.update((ks[j], z_est[j]) for j in np.flatnonzero(~np.isfinite(error[ks])))
-    for k in sorted(alone | redo.keys()):
+            norms = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[:, 0, 0]
+            error[ks] = np.where(singular, math.nan, norms / reference)
+    for k in np.flatnonzero(~np.isfinite(error)).tolist():  # unsettled, in run order
         sel = selected[k]
         p = len(sel.indices)
+        y = stacks[p][1][by_p[p].index(k)]
         with _naming_case(f"method={sel.method.value} p={p} {unit}={number}"):
-            if k in alone:
-                c, gram, y = (stack[by_p[p].index(k)] for stack in stacks[p])
-                w, trace_inv[k], min_eig[k] = fisher._criteria(gram)
-                fisher._require_nonsingular(w)
-                redo[k] = fisher._pinv_apply(c, gram, y)
-            if k in redo:
-                error[k] = fisher.reconstruction_error(z_true, redo[k])
+            s = fisher.build_measurement(cand, sel.indices)
+            info = fisher.fisher_info(s)
+            indices = fisher.det_index, fisher.trace_inv_index, fisher.min_eig_index
+            det[k], trace_inv[k], min_eig[k] = (index(info) for index in indices)
+            error[k] = fisher.reconstruction_error(z_true, fisher.estimate(s, y))
     if failure is not None:
         raise failure
     columns = zip(det.tolist(), trace_inv.tolist(), min_eig.tolist(), error.tolist())

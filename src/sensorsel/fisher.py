@@ -227,15 +227,14 @@ def _criteria(gram: np.ndarray) -> _Criteria:
         return _Criteria(w, np.add.reduce(1.0 / finite, axis=-1), min_eig)
 
 
-def _pinv_apply(c: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`estimate`'s arithmetic on a measurement ``c`` and its regime
-    Gram ``gram``, which must pass the singularity test, or on each in a
-    stack of one shape: one ``np.linalg.solve`` on the Gram (each system
-    of a stack gets the bits of a solve on it alone)."""
-    ct = np.swapaxes(c, -1, -2)
-    if c.shape[-2] <= c.shape[-1]:
-        return ct @ np.linalg.solve(gram, y)
-    return np.linalg.solve(gram, ct @ y)
+def _pinv_apply(cs: Sequence[np.ndarray], gram: np.ndarray, ys: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`estimate`'s arithmetic on measurements ``cs`` and observations ``ys``, records
+    or stacks of one Gram shape (p may vary past r), and their regime Grams ``gram``, which
+    must pass the singularity test: one ``np.linalg.solve``, each system getting its own bits."""
+    if cs[0].shape[-2] <= cs[0].shape[-1]:
+        return np.swapaxes(np.concatenate(cs), -1, -2) @ np.linalg.solve(gram, np.concatenate(ys))
+    cty = [np.swapaxes(c, -1, -2) @ y for c, y in zip(cs, ys)]
+    return np.linalg.solve(gram, np.concatenate(cty))
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:
@@ -306,7 +305,7 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     if y.shape[0] != s.p:
         raise ValueError(f"y has leading dimension {y.shape[0]}, expected p={s.p}")
     _require_nonsingular(s.info._criteria.eigvals)
-    return _pinv_apply(s.measurement, s.info.matrix, y)
+    return _pinv_apply([s.measurement], s.info.matrix, [y])
 
 
 def error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:

@@ -593,6 +593,37 @@ class TestBatchEvaluation:
         assert "method=ag p=3 trial=0: Eigenvalues did not converge" in capsys.readouterr().err
         assert solved == [(2, 2), (3, 3), (3, 3), (2, 2)]  # dg p=2..4 and ag p=2 of trial 0
 
+    def test_only_flagged_records_take_the_per_record_path(self, monkeypatch):
+        """The stacked pass settles ordinary records; the per-record path runs
+        once for each record it leaves, in run order, up to the first failure."""
+        calls = []
+        info = fisher.fisher_info
+        monkeypatch.setattr(fisher, "fisher_info", lambda s: calls.append(s.indices) or info(s))
+        cand = gen_random_system(12, 3, 0)
+
+        def evaluated(cand, z, methods, sizes):
+            records = cli._unit_records(
+                cand, np.arange(1, cand.n + 1), methods, sizes, "trial", 0, (0,), z,
+                lambda sels, rows, locs: rows @ z,
+            )
+            return [rec.indices for rec in records]
+
+        evaluated(cand, gen_latent(3, 1, 1), [Method.DG, Method.RANDOM], range(1, 7))
+        assert calls == []
+        big = evaluated(cand, 1e160 * gen_latent(3, 1, 1), [Method.DG, Method.RANDOM], range(1, 7))
+        assert calls == big and len(big) == 12
+
+        calls.clear()  # the singular fixture of the run-order test above
+        e1, e2, e3 = np.eye(3)
+        singular = CandidateMatrix([e1, 2.0 * e1, e2, e3, e1 + e2, e1 - e2])
+        picks = {4: (1, 3, 4, 5), 2: (1, 2), 5: (1, 2, 3, 5, 6)}
+        monkeypatch.setattr(
+            cli, "run_selector", lambda cand, p, method, seed: SelectionResult(method, picks[p], (), 0.0)
+        )
+        with pytest.raises(SingularInformationError, match="^method=random p=2 trial=0: "):
+            evaluated(singular, gen_latent(3, 1, 1), [Method.RANDOM], [4, 2, 5])
+        assert calls == [(1, 2)]
+
 
 class TestCvNormalMatrix:
     """A cv run's folds take their Lanczos normal matrix from one XᵀX of the file."""

@@ -54,6 +54,15 @@ def test_a_moved_float_is_reported_and_a_moved_index_fails(tmp_path, capsys):
     assert "  indices: 1 cells differ, first at row 3\n" in capsys.readouterr().out
 
 
+def test_a_move_between_huge_values_of_opposite_sign_is_finite(tmp_path, capsys):
+    run(tmp_path, "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    edit_cell(tmp_path / "a" / "random.csv", 5, "recon_error", lambda c: "1e+308")
+    edit_cell(tmp_path / "b" / "random.csv", 5, "recon_error", lambda c: "-1e+308")
+    assert csv_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert "  recon_error: largest relative move 2 at row 5\n" in capsys.readouterr().out
+
+
 def test_a_file_in_one_directory_only_fails(tmp_path, capsys):
     run(tmp_path, "a")
     (tmp_path / "b").mkdir()

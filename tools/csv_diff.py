@@ -42,8 +42,10 @@ def _float(cell: str) -> float | None:
 def _move(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    diff, scale = abs(a - b), max(abs(a), abs(b))
-    return diff / scale if math.isfinite(diff) else math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a / scale - b / scale)  # a - b itself may overflow
 
 
 def _rows(path: Path) -> list[list[str]]:
