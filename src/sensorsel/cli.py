@@ -153,9 +153,11 @@ def _unit_records(
     The Grams of one shape group (one group per p <= r, one for all p > r)
     get one ``det``, ``fisher._criteria`` and ``fisher._pinv_apply`` (the
     singular ones solved as the identity) and their errors' norms one dot,
-    each record getting the bits of a call on it alone.  A record that this
-    does not settle (its group's eigensolve failed, its Gram is singular, or
-    its error or reference is not finite) takes the per-record fisher path.
+    each record getting the bits of a call on it alone, its error taken at
+    the scale of ``z_true`` as ``fisher.reconstruction_error`` takes it.  A
+    record that this does not settle (its group's eigensolve failed, its
+    Gram is singular, or its error is not finite, as all are where
+    ``z_true`` is zero) takes the per-record fisher path.
 
     The failure raised is the one a run that evaluates each selection as
     it is made would hit first: selecting stops at the first failure, the
@@ -191,9 +193,8 @@ def _unit_records(
         locs.update(zip(ks, map(tuple, loc.tolist())))
         stacks[p] = c, observe([selected[k] for k in ks], c, loc)
         groups.setdefault(min(p, cand.r + 1), []).append(p)
-    with np.errstate(over="ignore"):
-        reference = float(np.linalg.norm(z_true))
-    reference = reference if 0.0 < reference < math.inf else math.nan  # else all go alone
+    z_unit, ez = fisher._unit_scaled(z_true)
+    reference = np.linalg.norm(z_unit)
     det, trace_inv, min_eig, error = np.empty((4, len(selected)))
     for ps in groups.values():
         ks = [k for p in ps for k in by_p[p]]
@@ -209,7 +210,7 @@ def _unit_records(
         gram[singular] = np.eye(gram.shape[-1])  # so that they are left out of the solve
         z_est = fisher._pinv_apply(cs, gram, ys)
         with np.errstate(all="ignore"):  # such a record is evaluated alone below
-            diff = (z_est - z_true).reshape(len(ks), 1, -1)
+            diff = np.ldexp(z_est - z_true, -ez).reshape(len(ks), 1, -1)
             norms = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[:, 0, 0]
             error[ks] = np.where(singular, math.nan, norms / reference)
     for k in np.flatnonzero(~np.isfinite(error)).tolist():  # unsettled, in run order

@@ -17,7 +17,6 @@ singular) and clamps the least eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -365,21 +364,18 @@ def observable_error_covariance(s: SensorSet, noise: NoiseModel) -> np.ndarray:
 
 
 def reconstruction_error(z_true: np.ndarray, z_est: np.ndarray) -> float:
-    """Relative Frobenius error ``||z_est - z_true||_F / ||z_true||_F``, also where
-    the squares leave the float range; ``ZeroReferenceError`` if ``z_true`` is zero.
+    """Relative Frobenius error ``||z_est - z_true||_F / ||z_true||_F``, its norms taken on
+    the inputs scaled exactly by powers of two (the reference at max|z_true| in [1/2, 1)),
+    so it reads the same bits at any scale; ``ZeroReferenceError`` if ``z_true`` is zero.
     """
     zt = np.asarray(z_true, dtype=float)
     ze = np.asarray(z_est, dtype=float)
     if zt.shape != ze.shape:
         raise ValueError(f"shape mismatch: {zt.shape} vs {ze.shape}")
-    with np.errstate(over="ignore"):  # only a ratio past the float range reads inf
-        num, denom = float(np.linalg.norm(ze - zt)), float(np.linalg.norm(zt))
-        if not (math.isfinite(num) and 0.0 < denom < math.inf):
-            # a square left the float range: both norms again on inputs scaled exactly
-            zt_unit, ez = _unit_scaled(zt)
-            (ze_e, zt_e), e = _unit_scaled(np.stack([ze, zt]))
-            num = float(np.ldexp(np.linalg.norm(ze_e - zt_e), e - ez))
-            denom = float(np.linalg.norm(zt_unit))
+    zt_unit, ez = _unit_scaled(zt)
+    (ze_e, zt_e), e = _unit_scaled(np.stack([ze, zt]))
+    denom = float(np.linalg.norm(zt_unit))
     if denom == 0.0:
         raise ZeroReferenceError("true latent matrix has zero norm")
-    return num / denom
+    with np.errstate(over="ignore"):  # only a ratio past the float range reads inf
+        return float(np.ldexp(np.linalg.norm(ze_e - zt_e), e - ez)) / denom

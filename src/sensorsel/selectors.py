@@ -166,9 +166,10 @@ class _Factor:
     coordinates on an orthonormal basis of the selected rows and ``res2``
     its squared distance from their span; ``coords[:k, selected]^T`` is the
     lower-triangular factor L of ``C C^T = L L^T``.  From r rows on, the
-    information is ``C^T C``, formed fresh by :meth:`gram`.  ``excluded``
-    marks the rows the next step may not pick: the selected rows and, while
-    k < r, the rows whose ``res2`` is at most ``floor`` (no new direction).
+    information is ``C^T C``, which :meth:`gram` forms and eigendecomposes
+    afresh, once per step for every score.  ``excluded`` marks the rows the
+    next step may not pick: the selected rows and, while k < r, the rows
+    whose ``res2`` is at most ``floor`` (no new direction).
     """
 
     def __init__(self, u: np.ndarray):
@@ -200,12 +201,13 @@ class _Factor:
         self.selected.append(i)
         self.excluded[i] = True
 
-    def gram(self) -> np.ndarray:
-        """``C^T C`` of the selected rows, checked to be nonsingular."""
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``C^T C`` of the selected rows and its ascending eigenpairs, checked nonsingular."""
         c = self.u[self.selected]
         gram = c.T @ c
-        _require_nonsingular(_eigvalsh(gram))
-        return gram
+        lam, vecs = _eigh(gram)
+        _require_nonsingular(lam)
+        return gram, lam, vecs
 
 
 def _greedy(
@@ -243,18 +245,18 @@ def _greedy(
 def _dg_score(state: _Factor) -> np.ndarray:
     if state.under:
         return state.res2.copy()
-    u = state.u
-    return 1.0 + _quad(u, u @ np.linalg.inv(state.gram()))
+    _, lam, vecs = state.gram()
+    return 1.0 + (state.u @ vecs) ** 2 @ (1.0 / lam)
 
 
 def _ag_score(state: _Factor) -> np.ndarray:
-    u = state.u
     if state.under:
         coords = state.coords[: len(state.selected)]
         y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
         return (_quad(y, y) + 1.0) / state.res2
-    y = u @ np.linalg.inv(state.gram())
-    return -_quad(y, y) / (1.0 + _quad(u, y))
+    _, lam, vecs = state.gram()
+    w2 = (state.u @ vecs) ** 2
+    return -(w2 @ (1.0 / lam) ** 2) / (1.0 + w2 @ (1.0 / lam))
 
 
 def _eg_score(state: _Factor) -> np.ndarray:
@@ -265,8 +267,8 @@ def _eg_score(state: _Factor) -> np.ndarray:
     k = len(state.selected)
     if k == 0:
         return state.norms2.copy()  # the 1 x 1 bordered Gram
-    c = u[state.selected]
     if state.under:
+        c = u[state.selected]
         gram, border = c @ c.T, u @ c.T
         lam, vecs = _eigh(gram)
         a = border @ ((vecs / lam) @ vecs.T)  # u ~ a C, each row's projection
@@ -284,9 +286,7 @@ def _eg_score(state: _Factor) -> np.ndarray:
             return _eigvalsh(stacked)[:, 0]
 
     else:
-        gram = c.T @ c
-        lam, vecs = _eigh(gram)
-        _require_nonsingular(lam)
+        gram, lam, vecs = state.gram()
         if u.shape[1] == 1:
             return gram[0, 0] + u[:, 0] * u[:, 0]  # the 1 x 1 information
         w = u @ vecs[:, :2]
@@ -356,7 +356,8 @@ def select_dg(cand: CandidateMatrix, p: int) -> SelectionResult:
     The first min(p, r) sensors maximize the squared distance from the
     span of the sensors already picked (the column-pivoted-QR pivot
     sequence of U^T); subsequent sensors maximize the determinant via the
-    rank-one ratio ``1 + u (C^T C)^-1 u^T``.
+    rank-one ratio ``1 + u (C^T C)^-1 u^T = 1 + sum(w^2 / l)``, read from the
+    step's one eigendecomposition ``C^T C = V diag(l) V^T`` with ``w = u V``.
     """
     return _take(cand, p, Method.DG)
 
@@ -366,7 +367,8 @@ def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
 
     While p <= r the step objective is the bordered-inverse ratio
     ``(u C^T (C C^T)^-2 C u^T + 1) / (u (I - C^T (C C^T)^-1 C) u^T)``;
-    past r it is ``-(u (C^T C)^-2 u^T) / (1 + u (C^T C)^-1 u^T)``.  Both
+    past r it is ``-(u (C^T C)^-2 u^T) / (1 + u (C^T C)^-1 u^T)``, read as
+    ``-sum(w^2 / l^2) / (1 + sum(w^2 / l))`` (see :func:`select_dg`).  Both
     are minimized.  Like every greedy selector, it skips the candidates
     whose projection residual vanishes for the current step.
     """

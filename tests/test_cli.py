@@ -534,9 +534,10 @@ class TestBatchEvaluation:
                 lambda sels, rows, locs: rows @ z,
             )
 
-    def test_an_error_whose_reference_overflows_equals_the_per_record_path(self):
-        """Past r the estimate is exact to rounding, so the norm of the error is
-        finite while the reference's overflows: such an error is recomputed."""
+    def test_an_error_whose_squares_overflow_equals_the_per_record_path(self):
+        """Past r the estimate is exact to rounding, so the error is about 1e-16
+        of a reference whose squares overflow: both paths read it at the scale
+        of ``z``."""
         cand = gen_random_system(12, 3, 0)
         z = 1e160 * gen_latent(3, 1, 1)
         records = cli._unit_records(
@@ -553,6 +554,26 @@ class TestBatchEvaluation:
                 cand, np.arange(1, 13), [Method.DG], [1, 2], "trial", 0, (0,), 0.0 * z,
                 lambda sels, rows, locs: rows @ z,
             )
+
+    @pytest.mark.parametrize("k", [-520, -510, 531])
+    def test_errors_keep_their_bits_at_any_scale_of_z(self, monkeypatch, k):
+        """Squares of z * 2^k leave the float range, those at k = -520 and -510
+        as subnormals; the stacked pass settles every record with the bits of
+        k = 0."""
+        cand = gen_random_system(12, 3, 0)
+        z = gen_latent(3, 1, 1)
+
+        def errors(z):
+            records = cli._unit_records(
+                cand, np.arange(1, 13), [Method.DG, Method.RANDOM], range(1, 7), "trial", 0, (0,), z,
+                lambda sels, rows, locs: rows @ z,
+            )
+            return [rec.recon_error for rec in records]
+
+        calls, info = [], fisher.fisher_info
+        monkeypatch.setattr(fisher, "fisher_info", lambda s: calls.append(s.indices) or info(s))
+        assert errors(np.ldexp(z, k)) == errors(z)
+        assert calls == []
 
     def test_records_are_solved_alone_when_every_stacked_eigensolve_fails(self, tmp_path, monkeypatch):
         plain = run_random(small_config(tmp_path, out_dir=str(tmp_path / "plain")))
@@ -610,8 +631,8 @@ class TestBatchEvaluation:
 
         evaluated(cand, gen_latent(3, 1, 1), [Method.DG, Method.RANDOM], range(1, 7))
         assert calls == []
-        big = evaluated(cand, 1e160 * gen_latent(3, 1, 1), [Method.DG, Method.RANDOM], range(1, 7))
-        assert calls == big and len(big) == 12
+        evaluated(cand, 1e160 * gen_latent(3, 1, 1), [Method.DG, Method.RANDOM], range(1, 7))
+        assert calls == []
 
         calls.clear()  # the singular fixture of the run-order test above
         e1, e2, e3 = np.eye(3)

@@ -441,9 +441,13 @@ class TestReconstructionError:
         with pytest.raises(ZeroReferenceError):
             reconstruction_error(np.zeros(3), np.ones(3))
 
-    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize(
+        "scale", [2.0**700, 2.0**-700, 2.0**-500, 2.0**-520],
+        ids=["overflow", "underflow", "subnormal-500", "subnormal-520"],
+    )
     def test_squares_past_the_float_range_keep_the_bits(self, scale):
-        # the squares of 2**700 overflow and those of 2**-700 underflow
+        # the squares of 2**700 overflow, those of 2**-700 underflow and
+        # those of 2**-500 and 2**-520 are subnormal
         rng = np.random.default_rng(42)
         z = rng.standard_normal((5, 3))
         z_est = z + 0.1 * rng.standard_normal((5, 3))

@@ -179,9 +179,9 @@ def unpruned_eg_score(state):
     """Every candidate's E-greedy score by one stacked eigensolve, none
     pruned: the reference for the bound-pruned ``_eg_score``."""
     u = state.u
+    c = u[state.selected]
     if state.under:
         n, k = u.shape[0], len(state.selected)
-        c = u[state.selected]
         border = u @ c.T
         stacked = np.empty((n, k + 1, k + 1))
         stacked[:, :k, :k] = c @ c.T
@@ -189,7 +189,7 @@ def unpruned_eg_score(state):
         stacked[:, k, :k] = border
         stacked[:, k, k] = state.norms2
     else:
-        stacked = state.gram()[None, :, :] + u[:, :, None] * u[:, None, :]
+        stacked = (c.T @ c)[None, :, :] + u[:, :, None] * u[:, None, :]
     return _eigvalsh(stacked)[:, 0]
 
 
@@ -654,6 +654,24 @@ class TestSharedProperties:
         assert calls == {"fisher_info": 5, index[method]: 5}
         results[-1].per_step_objective  # the first five are reused
         assert calls == {"fisher_info": 12, index[method]: 12}
+
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG, Method.EG])
+    def test_a_step_past_r_makes_one_eigendecomposition_and_no_inverse(self, monkeypatch, method):
+        shapes = {"eigh": [], "inv": []}
+        for module, name in ((selectors, "_eigh"), (np.linalg, "inv")):
+
+            def spy(m, name=name, real=getattr(module, name)):
+                shapes[name.strip("_")].append(m.shape)
+                return real(m)
+
+            monkeypatch.setattr(module, name, spy)
+        cand = gaussian_candidates(30, 4, seed=60)
+        for p, _ in enumerate(islice(greedy_steps(cand, method), 12), start=1):
+            # from p = 5 on, the step that picked row p read the information C^T C
+            assert shapes["eigh"].count((4, 4)) == (p > 4)
+            assert (4, 4) not in shapes["inv"]
+            shapes["eigh"].clear()
+            shapes["inv"].clear()
 
     @pytest.mark.parametrize("seed", [56, 57, 58, 59])
     @pytest.mark.parametrize(
