@@ -417,7 +417,7 @@ def run_submod_report(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
             )
             sections.append(f"  e_raw verdict: {verdict}")
         for rep in (rep_sub, rep_mon):
-            witness_rows += ((label, *row) for row in rep.witness_rows())
+            witness_rows += rep.witness_rows(label)
 
     bound_rows = []
     for j in range(5):

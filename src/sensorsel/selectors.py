@@ -312,6 +312,10 @@ def _scores_that_can_win(
     """``exact`` scores of the candidates not ``excluded`` in descending order of
     ``upper``, in doubling blocks, until the next upper bound lies below the
     :func:`_argbest` tie band of the best score so far; NaN for the rest.
+    ``upper`` must bound each exact score as computed, so the callers add a
+    rounding slack: ``EG_BOUND_SLACK`` times ``lambda_max + ||u||^2`` in an
+    E-greedy step (:func:`select_eg`) and times the trace of the scaled Gram
+    in brute force (:func:`select_bruteforce`).
     """
     upper = np.where(excluded, -np.inf, upper)
     order = np.argsort(-upper)[: len(upper) - np.count_nonzero(excluded)]
@@ -429,34 +433,63 @@ def _best_subset(
     score: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
     minimize: bool,
     r: int,
+    bound: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Best p-subset of {1..n} under ``score``, with its value.
 
-    The subsets are scored in lexicographic order, in blocks of at most
-    :data:`BRUTE_BLOCK` // (p r) subsets (at least one), ``r`` being the
-    width of a candidate row: ``score`` takes a block as a (k, p) array
-    of 1-based indices, one subset per row, and returns its k values, or
-    arrays v and x of the nonnegative values v 2^x, which may lie past the
-    float range and are ranked scaled by the power of two that brings the
-    best into [1/2, 1).  :func:`_argbest` then picks the winner, so
-    near-ties go to the lexicographically smallest subset and NaN values
-    are skipped, as in a greedy step.  The value returned is the winner's
-    v 2^x, rounded once (``inf`` or 0 past the float range).  Guarded by
-    :data:`BRUTE_GUARD` on the number of subsets.
+    The subsets are listed in lexicographic order (one byte an index up to
+    n = 255) and scored in blocks of at most :data:`BRUTE_BLOCK` // (p r)
+    subsets (at least one), ``r`` being the width of a candidate row:
+    ``score`` takes a block as a (k, p) array of 1-based indices, one
+    subset per row, and returns its k values, or arrays v and x of the
+    nonnegative values v 2^x, which may lie past the float range and are
+    ranked scaled by the power of two that brings the best into [1/2, 1).
+    :func:`_argbest` then picks the winner, so near-ties go to the
+    lexicographically smallest subset and NaN values are skipped, as in a
+    greedy step.  The value returned is the winner's v 2^x, rounded once
+    (``inf`` or 0 past the float range).  Guarded by :data:`BRUTE_GUARD`
+    on the number of subsets.
+
+    ``bound``, if given, takes a block as ``score`` does and returns, at
+    ``score``'s exponents x, a bound on each value that ``score``'s value
+    as computed cannot pass: an upper bound when maximizing, a lower one
+    when minimizing.  Every subset is bounded first; then
+    :func:`_scores_that_can_win` scores the subsets best bound first, the
+    :data:`EG_FIRST_BLOCK` best seeding the best value, in doubling rounds
+    (each scored a block at a time), while the next bound still reaches the
+    tie band of the best value so far.  The others read NaN: none of them
+    could have won or tied, so the winner and its value are those of
+    scoring every subset.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
         raise InstanceTooLargeError(f"C({n},{p}) = {total} exceeds guard {BRUTE_GUARD}")
+    lexicographic = chain.from_iterable(combinations(range(1, n + 1), p))
+    subsets = np.fromiter(lexicographic, np.min_scalar_type(n), total * p).reshape(total, p)
     size = max(1, BRUTE_BLOCK // (p * r))
-    subsets = combinations(range(1, n + 1), p)
     values, shifts = np.empty(total), np.zeros(total, np.intc)
     for start in range(0, total, size):
-        k = min(size, total - start)
-        block = np.fromiter(chain.from_iterable(islice(subsets, k)), np.intp, k * p)
-        scores = score(block.reshape(k, p))
+        at = slice(start, start + size)
+        scores = (bound or score)(subsets[at])
         if isinstance(scores, tuple):
-            scores, shifts[start : start + k] = scores
-        values[start : start + k] = scores
+            scores, shifts[at] = scores
+        values[at] = scores
+    if bound is not None:  # values holds the bounds
+        # upper bounds of sign * v 2^(x - base), one scale for all: a clip only weakens a
+        # bound, and a clipped bound never passes a best value that keeps its bits, so a
+        # subset is skipped only where the tie band is exact
+        sign, base = (-1.0, shifts.min()) if minimize else (1.0, shifts.max())
+        upper = sign * np.ldexp(values, np.clip(shifts - base, -960, 960))
+        values.fill(np.nan)
+
+        def exact(idx: np.ndarray) -> np.ndarray:
+            for start in range(0, len(idx), size):
+                at = idx[start : start + size]
+                values[at] = score(subsets[at])[0]
+            with np.errstate(over="ignore"):  # inf past the float range, outside the tie band
+                return sign * np.ldexp(values[idx], shifts[idx] - base)
+
+        _scores_that_can_win(upper, exact, np.zeros(total, bool))
     top = 0
     if shifts.any():  # exact within 2^64 of the best; further off saturates, outside the tie band
         x = np.frexp(values, out=(values, np.empty(total, np.intc)))[1] + shifts
@@ -466,7 +499,7 @@ def _best_subset(
     best = _argbest(values, minimize)
     with np.errstate(over="ignore"):  # inf past the float range
         value = float(np.ldexp(values[best], top))
-    return next(islice(combinations(range(1, n + 1), p), best, None)), value
+    return tuple(subsets[best].tolist()), value
 
 
 def select_bruteforce(
@@ -482,7 +515,13 @@ def select_bruteforce(
     the scaled rows and the power of two that scales it back, and every
     criterion is ranked at the scale of the best.  Subsets singular under
     A or D are skipped; D eigensolves only the Grams whose determinant and
-    trace cannot rule out singularity.  Guarded by :data:`BRUTE_GUARD` on
+    trace cannot rule out singularity.  A and E eigensolve only the Grams
+    whose bound from the diagonal ``d`` of the scaled Gram reaches the tie
+    band of the best value so far (see :func:`_best_subset`), with slack
+    ``s = EG_BOUND_SLACK * trace``, which covers the rounding of the
+    eigensolve: the trace of the inverse is at least ``sum(1 / (d_i + s))``
+    (as ``(G^-1)_ii >= 1 / G_ii``) and the least eigenvalue at most
+    ``min(d_i) + s`` (Courant-Fischer).  Guarded by :data:`BRUTE_GUARD` on
     the number of subsets.  ``per_step_objective`` is NaN except for the
     final entry, the optimal index value (``inf`` or 0 past the float range).
     """
@@ -510,10 +549,20 @@ def select_bruteforce(
         crit = _criteria(gram)
         return (crit.min_eig, 2 * e) if criterion is Criterion.E else (crit.trace_inv, -2 * e)
 
+    def bound(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, e = _unit_scaled(u[subsets - 1], axis=(1, 2))
+        d = np.einsum("kij,kij->kj" if p > cand.r else "kij,kij->ki", c, c)  # diagonal of the Gram
+        s = EG_BOUND_SLACK * d.sum(-1)
+        if criterion is Criterion.E:
+            return d.min(-1) + s, 2 * e
+        with np.errstate(divide="ignore"):  # an all-zero subset, singular, is bounded by inf
+            return (1.0 / (d + s[:, None])).sum(-1), -2 * e
+
     t0 = time.perf_counter()
     try:
         best_subset, best_value = _best_subset(
-            cand.n, p, score, criterion is Criterion.A, cand.r
+            cand.n, p, score, criterion is Criterion.A, cand.r,
+            None if criterion is Criterion.D else bound,
         )
     except NoAdmissibleCandidateError:
         raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None

@@ -7,18 +7,25 @@ and a modular fixture; each reads 0 on the empty set.  The checkers
 compare all nested pairs S < T at once on one table of subset values, so
 they take at most 14 candidates; the table scores the subsets of each
 size as one stack (:meth:`SetObjective.values`), bit for bit as one at a
-time.  The A objective is monotone but not submodular (the checker finds
+time.  The witnesses stay bit-mask arrays from the scan to the CSV rows
+(:class:`Witnesses`, 9 bytes a witness), sorted as Python sorts their
+tuples.  The A objective is monotone but not submodular (the checker finds
 diminishing-returns violations), so the Nemhauser bound
 ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
-greedy-to-optimal ratio against brute force is an empirical check.
+greedy-to-optimal ratio against brute force is an empirical check.  Its
+optimum scores every p-subset: the diagonal bounds that spare brute force
+most A and E eigensolves (:func:`~sensorsel.selectors.select_bruteforce`)
+are not applied to the regularized objective.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -109,20 +116,68 @@ class SetObjective:
         return self.evaluate(idx | {int(i)}) - self.evaluate(idx)
 
 
+class Witnesses(Sequence):
+    """The witnesses of one check as arrays: the bit masks of S and T (bit j
+    standing for index j + 1) and, for a diminishing-returns check, i.  A
+    read-only sequence of tuples ``(S, T)`` or ``(S, T, i)`` of sorted 1-based
+    index tuples, each built when read; it equals any sequence of the same
+    tuples.
+    """
+
+    def __init__(self, s: np.ndarray, t: np.ndarray, *i: np.ndarray):
+        self.columns = (s, t, *i)
+
+    @classmethod
+    def of(cls, found: Iterable[tuple]) -> Witnesses:
+        """The witnesses given as tuples ``(S, T)`` or ``(S, T, i)``."""
+        s, t, *i = list(zip(*found)) or [(), ()]
+        return cls(_masks(s), _masks(t), *map(np.array, i))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        s, t, *i = (int(c[k]) for c in self.columns)
+        return (_indices(s), _indices(t), *i)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:  # as the tuple it equals, so a report stays hashable
+        return hash(tuple(self))
+
+
+def _masks(subsets: Iterable[tuple[int, ...]]) -> np.ndarray:
+    return np.array([sum(1 << (j - 1) for j in x) for x in subsets], np.int64)
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 @dataclass(frozen=True)
 class ModularityReport:
     """Outcome of an exhaustive diminishing-returns or monotonicity scan.
 
     ``checked_pairs`` counts the (S, T, i) triples, or the (S, T) pairs,
-    that were compared.  The witnesses are sorted and hold 1-based sorted
-    index sets; each one reproduces its violated inequality when re-evaluated.
+    that were compared.  The witnesses are :class:`Witnesses` (tuples given
+    here are converted), sorted as Python sorts their tuples; each one
+    reproduces its violated inequality when re-evaluated.
     """
 
     checked_pairs: int
     tolerance: float
-    violations_submodular: tuple = ()
-    violations_supermodular: tuple = ()
-    violations_monotone: tuple = ()
+    violations_submodular: Sequence[tuple] = ()
+    violations_supermodular: Sequence[tuple] = ()
+    violations_monotone: Sequence[tuple] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("violations_submodular", "violations_supermodular", "violations_monotone"):
+            found = getattr(self, name)
+            if not isinstance(found, Witnesses):
+                object.__setattr__(self, name, Witnesses.of(found))
 
     @property
     def submodular(self) -> bool:
@@ -145,17 +200,20 @@ class ModularityReport:
         lines.append(f"  monotonicity violations:   {len(self.violations_monotone)}")
         return "\n".join(lines)
 
-    def witness_rows(self) -> list[tuple]:
-        """One ``(check, S, T, i)`` CSV row per witness, subsets space-joined."""
-        cell = functools.cache(_fmt)  # the witnesses share few distinct subsets
-        rows = [("submodular", cell(s), cell(t), i) for s, t, i in self.violations_submodular]
-        rows += [("supermodular", cell(s), cell(t), i) for s, t, i in self.violations_supermodular]
-        rows += [("monotone", cell(s), cell(t), "") for s, t in self.violations_monotone]
+    def witness_rows(self, *prefix: str) -> list[tuple]:
+        """One ``(*prefix, check, S, T, i)`` CSV row per witness, subsets space-joined,
+        each distinct subset formatted once."""
+        cell = functools.cache(lambda mask: " ".join(map(str, _indices(mask))))
+        rows = []
+        for check, found in (
+            ("submodular", self.violations_submodular),
+            ("supermodular", self.violations_supermodular),
+            ("monotone", self.violations_monotone),
+        ):
+            s, t, *i = found.columns
+            i = i[0].tolist() if i else repeat("")
+            rows += zip(*map(repeat, (*prefix, check)), map(cell, s.tolist()), map(cell, t.tolist()), i)
         return rows
-
-
-def _fmt(indices: Sequence[int]) -> str:
-    return " ".join(str(i) for i in indices)
 
 
 def _subset_table(obj: SetObjective, max_size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -199,27 +257,19 @@ def _nested_pairs(n: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
     return s[proper], t[proper]
 
 
-def _witnesses(subsets: list[tuple[int, ...]], parts: list) -> tuple:
-    """Witness tuples ``(S, T)`` or ``(S, T, i)`` in the order Python sorts them.
+def _witnesses(subsets: list[tuple[int, ...]], parts: list) -> Witnesses:
+    """The witnesses ``(S, T)`` or ``(S, T, i)`` in the order Python sorts their tuples.
 
     ``parts`` is a list of mask arrays ``(s, t)`` or ``(s, t, i)``, which
     this empties.  The subsets are ranked once in tuple order, and the
-    witnesses ordered by (rank of S, rank of T, i).  The tuples are built
-    only in that order, 2**16 at a time, and the arrays are freed before
-    the final copy, so the peak memory stays that of sorting the tuples.
+    witnesses ordered by (rank of S, rank of T, i), so no tuple is built.
     """
     s, t, *i = (np.concatenate(column) for column in zip(*parts))
     parts.clear()
-    rank = np.empty(len(subsets), dtype=np.int64)
+    rank = np.empty(len(subsets), dtype=np.min_scalar_type(len(subsets)))
     rank[sorted(range(len(subsets)), key=subsets.__getitem__)] = np.arange(len(subsets))
     order = np.lexsort((*i, rank[t], rank[s]))
-    objects = np.fromiter(subsets, dtype=object, count=len(subsets))
-    found = [None] * len(order)
-    for k in range(0, len(order), 2**16):
-        b = order[k : k + 2**16]
-        found[k : k + 2**16] = zip(objects[s[b]], objects[t[b]], *(x[b].tolist() for x in i))
-    del s, t, i, order
-    return tuple(found)
+    return Witnesses(s[order], t[order], *(x[order] for x in i))
 
 
 def check_submodular(

@@ -1,10 +1,11 @@
-"""tools/csv_diff.py tells float moves from changed indices, and ignores wall time."""
+"""tools/csv_diff.py tells float moves from changed indices, ignores wall time and
+compares text files byte for byte."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
-from sensorsel.cli import ExperimentConfig, run_random
+from sensorsel.cli import ExperimentConfig, run_random, run_submod_report
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "csv_diff.py"
 _SPEC = importlib.util.spec_from_file_location("csv_diff", _PATH)
@@ -68,3 +69,16 @@ def test_a_file_in_one_directory_only_fails(tmp_path, capsys):
     (tmp_path / "b").mkdir()
     assert csv_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert f"random.csv: only in {tmp_path / 'a'}" in capsys.readouterr().out
+
+
+def test_a_changed_text_file_fails(tmp_path, capsys):
+    cfg = ExperimentConfig(mode="submod", seed=3, out_dir=str(tmp_path / "a"))
+    run_submod_report(cfg)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    assert csv_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert "submod_report.txt: byte-identical\n" in capsys.readouterr().out
+    report = tmp_path / "b" / "submod_report.txt"
+    report.write_bytes(report.read_bytes().replace(b"violations:  ", b"violations: ", 1))
+    assert csv_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "submod_report.txt: bytes differ\n" in out and "submod_witnesses.csv: byte-identical\n" in out

@@ -511,7 +511,14 @@ class TestBruteForceBlocks:
         best_value = expected[k]
         # ranked scaled by one power of two
         expected = np.ldexp(expected, np.frexp(seen[-1][k])[1] - np.frexp(best_value)[1])
-        assert np.array_equal(seen[-1], expected, equal_nan=True)
+        if criterion is Criterion.D:
+            assert np.array_equal(seen[-1], expected, equal_nan=True)
+        else:  # scored where a bound reaches the tie band; a NaN is singular or outside it
+            scored = ~np.isnan(seen[-1])
+            assert np.array_equal(seen[-1][scored], expected[scored])
+            sign = -1.0 if criterion is Criterion.A else 1.0
+            tied = sign * expected >= sign * expected[k] - selectors.TIE_REL * abs(expected[k])
+            assert not (tied & ~scored).any()
         best = next(islice(combinations(range(1, n + 1), p), k, None))
         assert res.indices == best
         assert res.per_step_objective[-1] == best_value
@@ -560,6 +567,97 @@ class TestBruteForceBlocks:
         res = select_bruteforce(CandidateMatrix(1e150 * cand.rows), 7, Criterion.D)
         assert res.indices == select_bruteforce(cand, 7, Criterion.D).indices
         assert res.per_step_objective[-1] == np.inf
+
+
+def pruning_instance(seed):
+    """A small instance of one of six kinds: Gaussian rows, duplicated rows,
+    small integer rows (exact ties and singular subsets), rows of rank r - 1
+    (singular subsets past it), rows that repeat row 1 within and just
+    outside the tie band, or 9 or 10 rows of one column, each 1 + k 1e-13 but
+    row 1, which is 1: there the bounds are tight, every subset ties, and the
+    lexicographically first subset is bounded among the last.  n, r and p
+    are drawn, so both regimes occur."""
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(3, 9)), int(rng.integers(1, 5))
+    kind = seed % 6
+    if kind == 5:
+        n, r = int(rng.integers(9, 11)), 1
+    p = int(rng.integers(1, n + 1))
+    rows = rng.standard_normal((n, r))
+    if kind == 1:
+        rows[rng.integers(n, size=n // 2)] = rows[rng.integers(n, size=n // 2)]
+    elif kind == 2:
+        rows = rng.integers(-2, 3, size=(n, r)).astype(float)
+    elif kind == 3 and r > 1:
+        rows = rows[:, : r - 1] @ rng.standard_normal((r - 1, r))
+    elif kind == 4:
+        rows[1], rows[2] = rows[0] * (1 + 2e-13), rows[0] * (1 + 2e-12)
+    elif kind == 5:
+        rows = (1 + 1e-13 * rng.integers(1, 4, size=(n, 1))) * rng.choice([-1.0, 1.0], size=(n, 1))
+        rows[0] = 1.0
+    return rows, p
+
+
+def reference_pick(rows, p, criterion):
+    """The subset that the per-subset values (unblocked_brute_value) rank first
+    under the greedy tie rule, and its value."""
+    n = rows.shape[0]
+    value = unblocked_brute_value(CandidateMatrix(rows), criterion)
+    values = [value(s) for s in combinations(range(1, n + 1), p)]
+    k = _argbest(values, criterion is Criterion.A)
+    return next(islice(combinations(range(1, n + 1), p), k, None)), values[k]
+
+
+class TestBruteForcePruning:
+    """A and E eigensolve only the subsets whose diagonal bound reaches the tie
+    band of the best value so far; picks and values stay those of scoring every
+    subset."""
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_equals_the_per_subset_reference(self, monkeypatch, chunk):
+        # 100 instances a chunk, each under A and E, at one of five scales and
+        # in blocks of 1 or 7 subsets; a power-of-two scale changes only each
+        # value's exponent, so its reference is that of the unscaled rows
+        for seed in range(100 * chunk, 100 * chunk + 100):
+            rows, p = pruning_instance(seed)
+            scale = (0, 600, -600, 1e150, 1e-150)[seed // 6 % 5]
+            scaled = rows * scale if isinstance(scale, float) else np.ldexp(rows, scale)
+            monkeypatch.setattr(selectors, "BRUTE_BLOCK", (1 if seed // 30 % 2 else 7) * p * rows.shape[1])
+            for criterion in (Criterion.A, Criterion.E):
+                try:
+                    best, value = reference_pick(scaled if isinstance(scale, float) else rows, p, criterion)
+                except NoAdmissibleCandidateError:
+                    with pytest.raises(NoAdmissibleCandidateError):
+                        select_bruteforce(CandidateMatrix(scaled), p, criterion)
+                    continue
+                if isinstance(scale, int):
+                    with np.errstate(over="ignore"):
+                        value = np.ldexp(value, 2 * scale if criterion is Criterion.E else -2 * scale)
+                res = select_bruteforce(CandidateMatrix(scaled), p, criterion)
+                assert res.indices == best, (seed, criterion)
+                assert res.per_step_objective[-1] == value, (seed, criterion)
+
+    def test_most_subsets_of_the_oneshot_inputs_go_unsolved(self, monkeypatch):
+        # perfbench's oneshot brute requests: seeds 0-10, n = 16, 17, 18, r = 4, p = 5
+        solved = [0]
+
+        def counting(gram):
+            solved[0] += len(gram)
+            return criteria(gram)
+
+        criteria = selectors._criteria
+        monkeypatch.setattr(selectors, "_criteria", counting)
+        share = {Criterion.A: [], Criterion.E: []}
+        for seed in range(11):
+            for n in (16, 17, 18):
+                child = int(np.random.SeedSequence([seed, 6, n]).generate_state(1, np.uint64)[0])
+                cand = gen_random_system(n, 4, child)
+                for criterion, shares in share.items():
+                    solved[0] = 0
+                    select_bruteforce(cand, 5, criterion)
+                    shares.append(solved[0] / math.comb(n, 5))
+        assert np.median(share[Criterion.A]) <= 0.10
+        assert np.median(share[Criterion.E]) <= 0.25
 
 
 def select_brute_a(cand, p):

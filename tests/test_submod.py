@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -227,6 +228,32 @@ class TestCheckers:
             ("supermodular", "2", "2 3 5", 1),
             ("monotone", "1", "1 10", ""),
         ]
+
+    def test_witnesses_read_as_the_tuples_they_stand_for(self, cx):
+        rep = check_submodular(SetObjective(ObjectiveKind.E_RAW, cx), max_set_size=5)
+        found = rep.violations_submodular
+        tuples = tuple(found)
+        assert tuples == tuple(sorted(tuples)) and len(found) == len(tuples) > 3
+        assert found == tuples and tuples == found and found != tuples[1:]
+        assert (found[0], found[-1], found[1:3]) == (tuples[0], tuples[-1], tuples[1:3])
+        rebuilt = ModularityReport(rep.checked_pairs, rep.tolerance, tuples, tuple(rep.violations_supermodular))
+        assert rebuilt == rep and hash(rebuilt) == hash(rep)
+        rows = rep.witness_rows()
+        assert rebuilt.witness_rows("e_raw") == rep.witness_rows("e_raw") == [("e_raw", *row) for row in rows]
+
+    def test_witnesses_take_a_few_bytes_each(self):
+        # A_EPS on 10 x 3 rows at max_set_size=10 yields 191,710 witnesses; held as
+        # tuples of tuples they took about 105 bytes each at the peak of the scan
+        obj = SetObjective(ObjectiveKind.A_EPS, gaussian_candidates(10, 3, seed=0), 1e-3)
+        tracemalloc.start()  # NumPy reports its buffers to tracemalloc
+        try:
+            rep = check_submodular(obj, max_set_size=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = len(rep.violations_submodular) + len(rep.violations_supermodular)
+        assert count == 191_710
+        assert peak <= 48 * count
 
     def test_checked_pair_counts_cover_the_domain(self):
         cand = gaussian_candidates(5, 2, seed=61)

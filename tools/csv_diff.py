@@ -1,9 +1,10 @@
-"""Compare the CSV files of two output directories, file by file and column by column.
+"""Compare the CSV and text files of two output directories, file by file and column by column.
 
     python tools/csv_diff.py DIR_A DIR_B
 
-For each ``*.csv`` in either directory it prints whether the two files are
-byte-identical.  Where they are not, it prints for each column whether its
+For each ``*.csv`` and ``*.txt`` in either directory it prints whether the
+two files are byte-identical; text files are compared as bytes only.
+Where two CSV files are not, it prints for each column whether its
 cells are equal and, for float cells, the largest relative move
 ``|a - b| / max(|a|, |b|)`` with its row (rows count from 1 after the
 header; a NaN against a number, or an infinity against anything else,
@@ -13,8 +14,9 @@ row whose metric does.
 
 A float cell is one that parses as a float but not as an integer.  The exit
 status is 1 if an ``indices`` or ``locations`` cell or any other cell that
-is not a float differs, if a file is in one directory only, or if two files
-differ in header or row count; else 0, whatever the float moves.
+is not a float differs, if two text files differ, if a file is in one
+directory only, or if two files differ in header or row count; else 0,
+whatever the float moves.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
     args = parser.parse_args(argv)
-    names = sorted({path.name for d in (args.dir_a, args.dir_b) for path in d.glob("*.csv")})
+    dirs, patterns = (args.dir_a, args.dir_b), ("*.csv", "*.txt")
+    names = sorted({path.name for d in dirs for pattern in patterns for path in d.glob(pattern)})
     if not names:
-        print("no CSV files to compare")
+        print("no CSV or text files to compare")
         return 1
     ok = True
     for name in names:
@@ -106,7 +109,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: only in {a.parent if a.is_file() else b.parent}")
             ok = False
             continue
-        lines, same = compare_file(a, b)
+        if name.endswith(".txt"):
+            same = a.read_bytes() == b.read_bytes()
+            lines = [f"{name}: {'byte-identical' if same else 'bytes differ'}"]
+        else:
+            lines, same = compare_file(a, b)
         print("\n".join(lines))
         ok = ok and same
     return 0 if ok else 1
