@@ -233,7 +233,7 @@ def _load_csv(path: Path) -> SnapshotData:
             x[:, j] = [float(tok) for tok in toks]
         except ValueError as exc:
             raise FormatError(f"{path}: bad value on snapshot line {j + 1}") from exc
-    return SnapshotData(X=x, grid=grid)
+    return SnapshotData(x, grid=grid, _keep_x=True)
 
 
 def _load_raw(path: Path) -> SnapshotData:

@@ -430,36 +430,31 @@ def select_random(cand: CandidateMatrix, p: int, seed: int) -> SelectionResult:
 def _best_subset(
     n: int,
     p: int,
-    score: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
+    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    bound: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     minimize: bool,
     r: int,
-    bound: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Best p-subset of {1..n} under ``score``, with its value.
 
     The subsets are listed in lexicographic order (one byte an index up to
-    n = 255) and scored in blocks of at most :data:`BRUTE_BLOCK` // (p r)
-    subsets (at least one), ``r`` being the width of a candidate row:
-    ``score`` takes a block as a (k, p) array of 1-based indices, one
-    subset per row, and returns its k values, or arrays v and x of the
-    nonnegative values v 2^x, which may lie past the float range and are
-    ranked scaled by the power of two that brings the best into [1/2, 1).
-    :func:`_argbest` then picks the winner, so near-ties go to the
-    lexicographically smallest subset and NaN values are skipped, as in a
-    greedy step.  The value returned is the winner's v 2^x, rounded once
-    (``inf`` or 0 past the float range).  Guarded by :data:`BRUTE_GUARD`
-    on the number of subsets.
-
-    ``bound``, if given, takes a block as ``score`` does and returns, at
-    ``score``'s exponents x, a bound on each value that ``score``'s value
-    as computed cannot pass: an upper bound when maximizing, a lower one
-    when minimizing.  Every subset is bounded first; then
-    :func:`_scores_that_can_win` scores the subsets best bound first, the
-    :data:`EG_FIRST_BLOCK` best seeding the best value, in doubling rounds
-    (each scored a block at a time), while the next bound still reaches the
-    tie band of the best value so far.  The others read NaN: none of them
-    could have won or tied, so the winner and its value are those of
-    scoring every subset.
+    n = 255) and handled in blocks of at most :data:`BRUTE_BLOCK` // (p r)
+    subsets (at least one), ``r`` being the width of a candidate row.
+    ``score`` and ``bound`` take a block as a (k, p) array of 1-based
+    indices, one subset per row, and return arrays v and x of its k values
+    v 2^x, which may lie past the float range; ``bound``'s cannot be passed
+    by ``score``'s as computed (an upper bound when maximizing, a lower one
+    when minimizing; a score is its own bound).  Every subset is bounded
+    first; then :func:`_scores_that_can_win` scores the subsets best bound
+    first, the :data:`EG_FIRST_BLOCK` best seeding the best value, in
+    doubling rounds (each scored a block at a time), while the next bound
+    still reaches the tie band of the best value so far.  The others read
+    NaN: none of them could have won or tied.  The values are ranked scaled
+    by the power of two that brings the best into [1/2, 1); :func:`_argbest`
+    picks the winner, so near-ties go to the lexicographically smallest
+    subset and NaN values are skipped, as in a greedy step.  The value
+    returned is the winner's v 2^x, rounded once (``inf`` or 0 past the
+    float range).  Guarded by :data:`BRUTE_GUARD` on the number of subsets.
     """
     total = math.comb(n, p)
     if total > BRUTE_GUARD:
@@ -467,35 +462,30 @@ def _best_subset(
     lexicographic = chain.from_iterable(combinations(range(1, n + 1), p))
     subsets = np.fromiter(lexicographic, np.min_scalar_type(n), total * p).reshape(total, p)
     size = max(1, BRUTE_BLOCK // (p * r))
-    values, shifts = np.empty(total), np.zeros(total, np.intc)
+    values, shifts = np.empty(total), np.empty(total, np.intc)
     for start in range(0, total, size):
         at = slice(start, start + size)
-        scores = (bound or score)(subsets[at])
-        if isinstance(scores, tuple):
-            scores, shifts[at] = scores
-        values[at] = scores
-    if bound is not None:  # values holds the bounds
-        # upper bounds of sign * v 2^(x - base), one scale for all: a clip only weakens a
-        # bound, and a clipped bound never passes a best value that keeps its bits, so a
-        # subset is skipped only where the tie band is exact
-        sign, base = (-1.0, shifts.min()) if minimize else (1.0, shifts.max())
-        upper = sign * np.ldexp(values, np.clip(shifts - base, -960, 960))
-        values.fill(np.nan)
+        values[at], shifts[at] = bound(subsets[at])
+    # upper bounds of sign * v 2^(x - base), one scale for all: a clip only weakens a
+    # bound, and a clipped bound never passes a best value that keeps its bits, so a
+    # subset is skipped only where the tie band is exact
+    sign, base = (-1.0, shifts.min()) if minimize else (1.0, shifts.max())
+    upper = sign * np.ldexp(values, np.clip(shifts - base, -960, 960))
+    values.fill(np.nan)
 
-        def exact(idx: np.ndarray) -> np.ndarray:
-            for start in range(0, len(idx), size):
-                at = idx[start : start + size]
-                values[at] = score(subsets[at])[0]
-            with np.errstate(over="ignore"):  # inf past the float range, outside the tie band
-                return sign * np.ldexp(values[idx], shifts[idx] - base)
+    def exact(idx: np.ndarray) -> np.ndarray:
+        for start in range(0, len(idx), size):
+            at = idx[start : start + size]
+            values[at], shifts[at] = score(subsets[at])
+        with np.errstate(over="ignore"):  # inf past the float range, outside the tie band
+            return sign * np.ldexp(values[idx], shifts[idx] - base)
 
-        _scores_that_can_win(upper, exact, np.zeros(total, bool))
-    top = 0
-    if shifts.any():  # exact within 2^64 of the best; further off saturates, outside the tie band
-        x = np.frexp(values, out=(values, np.empty(total, np.intc)))[1] + shifts
-        x_pos = x[values > 0]
-        top = (x_pos.min() if minimize else x_pos.max()) if x_pos.size else 0
-        np.ldexp(values, np.clip(x - top, -64, 64), out=values)
+    _scores_that_can_win(upper, exact, np.zeros(total, bool))
+    # exact within 2^64 of the best; further off saturates, outside the tie band
+    x = np.frexp(values, out=(values, np.empty(total, np.intc)))[1] + shifts
+    x_pos = x[values > 0]
+    top = (x_pos.min() if minimize else x_pos.max()) if x_pos.size else 0
+    np.ldexp(values, np.clip(x - top, -64, 64), out=values)
     best = _argbest(values, minimize)
     with np.errstate(over="ignore"):  # inf past the float range
         value = float(np.ldexp(values[best], top))
@@ -508,22 +498,23 @@ def select_bruteforce(
     """Exact optimizer over all p-subsets; ties go to the lexicographically
     smallest index set.
 
-    The subsets are scored in blocks (see :func:`_best_subset`), each one's
-    rows scaled by the power of two that puts their largest entry in
-    [1/2, 1): one stack of regime Gram matrices per block.  Each
-    criterion scores a subset by its :mod:`~sensorsel.fisher` index of
-    the scaled rows and the power of two that scales it back, and every
-    criterion is ranked at the scale of the best.  Subsets singular under
-    A or D are skipped; D eigensolves only the Grams whose determinant and
-    trace cannot rule out singularity.  A and E eigensolve only the Grams
-    whose bound from the diagonal ``d`` of the scaled Gram reaches the tie
-    band of the best value so far (see :func:`_best_subset`), with slack
-    ``s = EG_BOUND_SLACK * trace``, which covers the rounding of the
-    eigensolve: the trace of the inverse is at least ``sum(1 / (d_i + s))``
-    (as ``(G^-1)_ii >= 1 / G_ii``) and the least eigenvalue at most
-    ``min(d_i) + s`` (Courant-Fischer).  Guarded by :data:`BRUTE_GUARD` on
-    the number of subsets.  ``per_step_objective`` is NaN except for the
-    final entry, the optimal index value (``inf`` or 0 past the float range).
+    The subsets are handled in blocks (see :func:`_best_subset`), each
+    one's rows scaled by the power of two that puts their largest entry in
+    [1/2, 1).  Each subset is bounded from the diagonal ``d`` of its scaled
+    Gram, with slack ``s = EG_BOUND_SLACK * trace`` for the rounding of the
+    exact score: the determinant is at most ``prod(d_i + s)`` (Hadamard,
+    ``inf`` past the float range), the trace of the inverse at least
+    ``sum(1 / (d_i + s))`` (as ``(G^-1)_ii >= 1 / G_ii``) and the least
+    eigenvalue at most ``min(d_i) + s`` (Courant-Fischer).  The subsets
+    whose bound reaches the tie band are scored by one eigensolve of their
+    scaled Grams, which skips under D and A the subsets that
+    :func:`~sensorsel.fisher._singular` flags: the :mod:`~sensorsel.fisher`
+    index of the scaled rows and the power of two that scales it back (past
+    the float range, a determinant is the eigenvalues' mantissa product).
+    Every criterion is ranked at the scale of the best.  Guarded by
+    :data:`BRUTE_GUARD` on the number of subsets.  ``per_step_objective``
+    is NaN except for the final entry, the optimal index value (``inf`` or
+    0 past the float range).
     """
     u = cand.rows
     _check_p(cand.n, p)
@@ -531,23 +522,17 @@ def select_bruteforce(
     def score(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, e = _unit_scaled(u[subsets - 1], axis=(1, 2))
         gram = _gram(c)  # the raw rows' Gram times 2^-2e
-        if criterion is Criterion.D:
-            k = gram.shape[-1]
-            det, x = _det(gram), 2 * k * e
-            # only a Gram failing λ_min / λ_max >= det / trace^k is eigensolved; the factor 2
-            # covers the rounding of a near-singular determinant (about 1e-4 relative)
-            with np.errstate(over="ignore"):  # a trace^k past the float range fails
-                unsure = ~(det > 2 * EPS_SINGULAR * np.einsum("...ii->...", gram) ** k)
-            if unsure.any():
-                w = _eigvalsh(gram[unsure])
-                # a determinant past the float range (so is its trace^k) is the product of the
-                # eigenvalues, kept as their mantissas' product and their exponents' sum
-                (m, xw), over = np.frexp(w), np.isinf(det[unsure])
-                det[unsure] = np.where(_singular(w), np.nan, np.where(over, m.prod(-1), det[unsure]))
-                x[unsure] += np.where(over, xw.sum(-1), 0)
-            return det, x
         crit = _criteria(gram)
-        return (crit.min_eig, 2 * e) if criterion is Criterion.E else (crit.trace_inv, -2 * e)
+        if criterion is Criterion.E:
+            return crit.min_eig, 2 * e
+        if criterion is Criterion.A:
+            return crit.trace_inv, -2 * e
+        # a determinant past the float range is the product of the eigenvalues, kept as
+        # their mantissas' product and their exponents' sum
+        det, (m, xw) = _det(gram), np.frexp(crit.eigvals)
+        over = np.isinf(det)
+        det = np.where(_singular(crit.eigvals), np.nan, np.where(over, m.prod(-1), det))
+        return det, 2 * gram.shape[-1] * e + np.where(over, xw.sum(-1), 0)
 
     def bound(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, e = _unit_scaled(u[subsets - 1], axis=(1, 2))
@@ -555,15 +540,15 @@ def select_bruteforce(
         s = EG_BOUND_SLACK * d.sum(-1)
         if criterion is Criterion.E:
             return d.min(-1) + s, 2 * e
+        if criterion is Criterion.D:
+            with np.errstate(over="ignore"):  # inf past the float range
+                return (d + s[:, None]).prod(-1), 2 * d.shape[-1] * e
         with np.errstate(divide="ignore"):  # an all-zero subset, singular, is bounded by inf
             return (1.0 / (d + s[:, None])).sum(-1), -2 * e
 
     t0 = time.perf_counter()
     try:
-        best_subset, best_value = _best_subset(
-            cand.n, p, score, criterion is Criterion.A, cand.r,
-            None if criterion is Criterion.D else bound,
-        )
+        best_subset, best_value = _best_subset(cand.n, p, score, bound, criterion is Criterion.A, cand.r)
     except NoAdmissibleCandidateError:
         raise NoAdmissibleCandidateError(f"every {p}-subset is singular") from None
     wall = time.perf_counter() - t0

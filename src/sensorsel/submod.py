@@ -13,9 +13,10 @@ tuples.  The A objective is monotone but not submodular (the checker finds
 diminishing-returns violations), so the Nemhauser bound
 ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
 greedy-to-optimal ratio against brute force is an empirical check.  Its
-optimum scores every p-subset: the diagonal bounds that spare brute force
-most A and E eigensolves (:func:`~sensorsel.selectors.select_bruteforce`)
-are not applied to the regularized objective.
+optimum is found by the search of
+:func:`~sensorsel.selectors.select_bruteforce` with the objective as its
+own bound, so every p-subset is scored: a diagonal bound could leave a
+singular regularized Gram unscored, and the check must raise at it.
 """
 
 from __future__ import annotations
@@ -296,6 +297,7 @@ def check_submodular(
         checked += len(s)
         for viol, hit in ((sub_viol, diff < -bound), (super_viol, diff > bound)):
             viol.append((s[hit], t[hit], np.full(np.count_nonzero(hit), i + 1, dtype=np.int8)))
+    del pair_s, pair_t, out, s, t, gain_s, gain_t, bound, diff, hit  # freed before the sorts
     return ModularityReport(
         checked_pairs=checked,
         tolerance=tol,
@@ -415,15 +417,20 @@ def nemhauser_check(cand: CandidateMatrix, p: int, epsilon: float) -> NemhauserR
     ``-tr[(C^T C + eps I)^-1] + r/eps``.  It is monotone but not
     submodular, so the Nemhauser bound ``1 - 1/e`` is not guaranteed and
     the returned ratio is an empirical measurement.  The optimum scores
-    the p-subsets in blocks (see ``selectors._best_subset``), one
-    :meth:`SetObjective.values` call per block; a singular regularized
-    Gram raises ``SingularInformationError``.  For eps far above the Gram
+    the p-subsets in lexicographic blocks (see ``selectors._best_subset``),
+    one :meth:`SetObjective.values` call per block, the score serving as
+    its own bound, so the first singular regularized Gram raises
+    ``SingularInformationError``.  For eps far above the Gram
     eigenvalues the values are rounding noise, and an optimum that is not
     positive raises ``NumericalError``.
     """
     _check_p(cand.n, p)
     obj = SetObjective(ObjectiveKind.A_EPS, cand, epsilon)
-    opt_indices, opt_value = _best_subset(cand.n, p, obj.values, minimize=False, r=cand.r)
+
+    def score(idx: np.ndarray) -> tuple[np.ndarray, int]:
+        return obj.values(idx), 0
+
+    opt_indices, opt_value = _best_subset(cand.n, p, score, score, False, cand.r)
     if not opt_value > 0.0:
         raise NumericalError(
             f"the optimum {opt_value!r} at epsilon={obj.epsilon!r} is not positive, "

@@ -395,7 +395,8 @@ class TestBruteForce:
         step = -0.9e-12 if minimize else 0.9e-12
         values = np.array([1.0, 1.0 + step, 1.0 + 2 * step])
         k = _argbest(values, minimize)
-        subset, value = _best_subset(3, 1, lambda s: values[s[:, 0] - 1], minimize, r=1)
+        score = lambda s: (values[s[:, 0] - 1], 0)  # its own bound
+        subset, value = _best_subset(3, 1, score, score, minimize, r=1)
         assert (subset, value) == ((k + 1,), values[k])
 
     @pytest.mark.parametrize("power", [0, 500, -500, 1000, -1000])
@@ -457,7 +458,8 @@ def unblocked_brute_value(cand, criterion):
             return math.nan
         if criterion is Criterion.A:
             return np.ldexp(trace_inv, -2 * e)
-        return np.ldexp(det_index(info), 2 * info.matrix.shape[0] * e)
+        with np.errstate(over="ignore"):
+            return np.ldexp(det_index(info), 2 * info.matrix.shape[0] * e)
 
     return value
 
@@ -511,14 +513,12 @@ class TestBruteForceBlocks:
         best_value = expected[k]
         # ranked scaled by one power of two
         expected = np.ldexp(expected, np.frexp(seen[-1][k])[1] - np.frexp(best_value)[1])
-        if criterion is Criterion.D:
-            assert np.array_equal(seen[-1], expected, equal_nan=True)
-        else:  # scored where a bound reaches the tie band; a NaN is singular or outside it
-            scored = ~np.isnan(seen[-1])
-            assert np.array_equal(seen[-1][scored], expected[scored])
-            sign = -1.0 if criterion is Criterion.A else 1.0
-            tied = sign * expected >= sign * expected[k] - selectors.TIE_REL * abs(expected[k])
-            assert not (tied & ~scored).any()
+        # scored where a bound reaches the tie band; a NaN is singular or outside it
+        scored = ~np.isnan(seen[-1])
+        assert np.array_equal(seen[-1][scored], expected[scored])
+        sign = -1.0 if criterion is Criterion.A else 1.0
+        tied = sign * expected >= sign * expected[k] - selectors.TIE_REL * abs(expected[k])
+        assert not (tied & ~scored).any()
         best = next(islice(combinations(range(1, n + 1), p), k, None))
         assert res.indices == best
         assert res.per_step_objective[-1] == best_value
@@ -543,7 +543,8 @@ class TestBruteForceBlocks:
         values = 1.0 + step * np.arange(20)
         self.block_size(monkeypatch, subsets, 1, 1)
         k = _argbest(values, minimize)
-        assert _best_subset(20, 1, lambda s: values[s[:, 0] - 1], minimize, r=1) == ((k + 1,), values[k])
+        score = lambda s: (values[s[:, 0] - 1], 0)  # its own bound
+        assert _best_subset(20, 1, score, score, minimize, r=1) == ((k + 1,), values[k])
 
     @pytest.mark.parametrize("subsets", [1, 7, None])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -609,21 +610,26 @@ def reference_pick(rows, p, criterion):
 
 
 class TestBruteForcePruning:
-    """A and E eigensolve only the subsets whose diagonal bound reaches the tie
-    band of the best value so far; picks and values stay those of scoring every
-    subset."""
+    """D, A and E eigensolve only the subsets whose diagonal bound reaches the
+    tie band of the best value so far; picks and values stay those of scoring
+    every subset."""
 
     @pytest.mark.parametrize("chunk", range(10))
     def test_equals_the_per_subset_reference(self, monkeypatch, chunk):
-        # 100 instances a chunk, each under A and E, at one of five scales and
+        # 100 instances a chunk, each under D, A and E, at one of five scales and
         # in blocks of 1 or 7 subsets; a power-of-two scale changes only each
-        # value's exponent, so its reference is that of the unscaled rows
+        # value's exponent, so its reference is that of the unscaled rows; at
+        # 1e±150 the determinants leave the float range, so D is left to
+        # test_d_past_the_float_range_picks_without_a_warning there
         for seed in range(100 * chunk, 100 * chunk + 100):
             rows, p = pruning_instance(seed)
             scale = (0, 600, -600, 1e150, 1e-150)[seed // 6 % 5]
             scaled = rows * scale if isinstance(scale, float) else np.ldexp(rows, scale)
             monkeypatch.setattr(selectors, "BRUTE_BLOCK", (1 if seed // 30 % 2 else 7) * p * rows.shape[1])
-            for criterion in (Criterion.A, Criterion.E):
+            exponent = {Criterion.A: -2 * scale, Criterion.E: 2 * scale}
+            if isinstance(scale, int):
+                exponent[Criterion.D] = 2 * min(p, rows.shape[1]) * scale
+            for criterion in exponent:
                 try:
                     best, value = reference_pick(scaled if isinstance(scale, float) else rows, p, criterion)
                 except NoAdmissibleCandidateError:
@@ -632,30 +638,36 @@ class TestBruteForcePruning:
                     continue
                 if isinstance(scale, int):
                     with np.errstate(over="ignore"):
-                        value = np.ldexp(value, 2 * scale if criterion is Criterion.E else -2 * scale)
+                        value = np.ldexp(value, exponent[criterion])
                 res = select_bruteforce(CandidateMatrix(scaled), p, criterion)
                 assert res.indices == best, (seed, criterion)
                 assert res.per_step_objective[-1] == value, (seed, criterion)
 
     def test_most_subsets_of_the_oneshot_inputs_go_unsolved(self, monkeypatch):
         # perfbench's oneshot brute requests: seeds 0-10, n = 16, 17, 18, r = 4, p = 5
-        solved = [0]
+        # D's share counts its determinants, A's and E's their eigensolves
+        solved = {}
 
-        def counting(gram):
-            solved[0] += len(gram)
-            return criteria(gram)
+        def spy(name):
+            def counting(gram):
+                solved[name] += len(gram)
+                return solve(gram)
 
-        criteria = selectors._criteria
-        monkeypatch.setattr(selectors, "_criteria", counting)
-        share = {Criterion.A: [], Criterion.E: []}
+            solve = getattr(selectors, name)
+            monkeypatch.setattr(selectors, name, counting)
+
+        spy("_det")
+        spy("_criteria")
+        share = {Criterion.D: [], Criterion.A: [], Criterion.E: []}
         for seed in range(11):
             for n in (16, 17, 18):
                 child = int(np.random.SeedSequence([seed, 6, n]).generate_state(1, np.uint64)[0])
                 cand = gen_random_system(n, 4, child)
                 for criterion, shares in share.items():
-                    solved[0] = 0
+                    solved.update(_det=0, _criteria=0)
                     select_bruteforce(cand, 5, criterion)
-                    shares.append(solved[0] / math.comb(n, 5))
+                    shares.append(solved["_det" if criterion is Criterion.D else "_criteria"] / math.comb(n, 5))
+        assert np.median(share[Criterion.D]) <= 0.10
         assert np.median(share[Criterion.A]) <= 0.10
         assert np.median(share[Criterion.E]) <= 0.25
 
