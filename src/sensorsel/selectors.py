@@ -159,27 +159,50 @@ def _quad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+#: The carried quantities each greedy method's score reads (see :class:`_Factor`).
+_CARRIED = {Method.DG: {"q"}, Method.AG: {"y2", "q", "s"}, Method.EG: {"y2"}}
+
+
 class _Factor:
-    """Factored Fisher information of the rows selected so far.
+    """Factored Fisher information of the rows selected so far, and the parts
+    of the greedy scores that one pick changes by a rank-one term.
 
     While k < r rows are selected, ``coords[:k]`` holds every candidate's
     coordinates on an orthonormal basis of the selected rows and ``res2``
     its squared distance from their span; ``coords[:k, selected]^T`` is the
-    lower-triangular factor L of ``C C^T = L L^T``.  From r rows on, the
-    information is ``C^T C``, which :meth:`gram` forms and eigendecomposes
-    afresh, once per step for every score.  ``excluded`` marks the rows the
-    next step may not pick: the selected rows and, while k < r, the rows
-    whose ``res2`` is at most ``floor`` (no new direction).
+    lower-triangular factor L of ``C C^T = L L^T`` and ``linv[:k, :k]`` its
+    inverse.  ``y2`` is each candidate's ``||y||^2``, where ``y C`` is its
+    projection on the selected rows (``y = c L^-1``, c its coordinates).
+    From r rows on, the information is ``G = C^T C``, which :meth:`gram`
+    forms and eigendecomposes afresh, once per step for every score, and
+    keeps in ``eig``; ``q`` and ``s`` are each candidate's ``u G^-1 u^T``
+    and ``u G^-2 u^T``.
+
+    Each pick updates ``y2`` from the new coordinate row (one n x k
+    product) and, past r, ``q`` and ``s`` by Sherman-Morrison (one n x r
+    product each).  :meth:`gram` recomputes ``q`` and ``s`` from its
+    eigendecomposition at the first step past r and every r steps after, so
+    the carried values match the direct ones at rounding level, not bit for
+    bit.  Only the quantities named in ``carried`` are kept; the others are
+    None.  ``excluded`` marks the rows the next step may not pick: the
+    selected rows and, while k < r, the rows whose ``res2`` is at most
+    ``floor`` (no new direction).
     """
 
-    def __init__(self, u: np.ndarray):
+    def __init__(self, u: np.ndarray, carried: set[str]):
+        n, r = u.shape
         self.u = u
         self.norms2 = _quad(u, u)
         self.res2 = self.norms2.copy()
-        self.coords = np.empty((u.shape[1], u.shape[0]))
+        self.coords = np.empty((r, n))
         self.selected: list[int] = []
         self.floor = np.maximum(REDUNDANT_REL * self.norms2, EPS_SINGULAR * self.norms2.max())
         self.excluded = self.res2 <= self.floor
+        self.y2 = np.zeros(n) if "y2" in carried else None
+        self.linv = np.zeros((r, r))
+        self.q = np.empty(n) if "q" in carried else None
+        self.s = np.empty(n) if "s" in carried else None
+        self.eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def under(self) -> bool:
@@ -187,26 +210,57 @@ class _Factor:
         return len(self.selected) < self.u.shape[1]
 
     def add(self, i: int) -> None:
-        if self.under:
-            k = len(self.selected)
+        """Select row ``i``; past r, the update reads the eigenpairs that the
+        step's :meth:`gram` kept."""
+        k, r = len(self.selected), self.u.shape[1]
+        if k < r:
             prev = self.coords[:k]
             row = (self.u @ self.u[i] - prev.T @ prev[:, i]) / math.sqrt(self.res2[i])
+            if self.y2 is not None and k + 1 < r:
+                # y' = (y - t y_i, t) with t = row / row[i]; L^-1 gains the row (-y_i, 1) / row[i]
+                linv, rho = self.linv[:k, :k], row[i]
+                yi = prev[:, i] @ linv
+                t = row / rho
+                self.y2 += t * (t * (yi @ yi + 1.0) - 2.0 * ((linv @ yi) @ prev))
+                self.linv[k, :k] = -yi / rho
+                self.linv[k, k] = 1.0 / rho
             self.coords[k] = row
             self.res2 -= row * row
-            if k + 1 < self.u.shape[1]:
+            if k + 1 < r:
                 self.excluded = self.res2 <= self.floor
             else:  # from r rows on, every row adds information
                 self.excluded = np.zeros_like(self.excluded)
             self.excluded[self.selected] = True
+        elif self.q is not None:
+            # G' = G + a^T a: with h = G^-1 a^T, d = 1 + a h and g = u h,
+            # G'^-1 = G^-1 - h h^T / d, so q' = q - g^2 / d and
+            # s' = s - 2 g (u G^-1 h) / d + g^2 ||h||^2 / d^2
+            lam, vecs = self.eig
+            inv = (vecs / lam) @ vecs.T
+            h = inv @ self.u[i]
+            d = 1.0 + self.u[i] @ h
+            g = self.u @ h
+            if self.s is not None:
+                f = self.u @ (inv @ h)
+                self.s += (g * g * (h @ h) / d - 2.0 * g * f) / d
+            self.q -= g * g / d
         self.selected.append(i)
         self.excluded[i] = True
 
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``C^T C`` of the selected rows and its ascending eigenpairs, checked nonsingular."""
+        """``C^T C`` of the selected rows and its ascending eigenpairs, checked
+        nonsingular; kept for :meth:`add`, and read into ``q`` and ``s`` at
+        every r-th step past r."""
         c = self.u[self.selected]
         gram = c.T @ c
         lam, vecs = _eigh(gram)
         _require_nonsingular(lam)
+        self.eig = lam, vecs
+        if self.q is not None and len(self.selected) % self.u.shape[1] == 0:
+            w2 = (self.u @ vecs) ** 2
+            self.q = w2 @ (1.0 / lam)
+            if self.s is not None:
+                self.s = w2 @ (1.0 / lam) ** 2
         return gram, lam, vecs
 
 
@@ -221,13 +275,14 @@ def _greedy(
     the result after every pick, up to all n rows.
 
     ``score`` rates every candidate against the current state (NaN marks
-    one it skips); ``index`` of each selected prefix's Fisher information
-    is the results' ``per_step_objective``, computed when read.
-    ``wall_time`` counts only the time spent in this generator, not the
-    time the caller holds it suspended.
+    one it skips), which carries the quantities ``method``'s score reads;
+    ``index`` of each selected prefix's Fisher information is the results'
+    ``per_step_objective``, computed when read.  ``wall_time`` counts only
+    the time spent in this generator, not the time the caller holds it
+    suspended.
     """
     elapsed, t0 = 0.0, time.perf_counter()
-    state = _Factor(_unit_scaled(cand.rows)[0])
+    state = _Factor(_unit_scaled(cand.rows)[0], _CARRIED[method])
     trail = _Trail(cand, index)
     for k in range(cand.n):
         if state.excluded.all():
@@ -245,18 +300,15 @@ def _greedy(
 def _dg_score(state: _Factor) -> np.ndarray:
     if state.under:
         return state.res2.copy()
-    _, lam, vecs = state.gram()
-    return 1.0 + (state.u @ vecs) ** 2 @ (1.0 / lam)
+    state.gram()
+    return 1.0 + state.q
 
 
 def _ag_score(state: _Factor) -> np.ndarray:
     if state.under:
-        coords = state.coords[: len(state.selected)]
-        y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
-        return (_quad(y, y) + 1.0) / state.res2
-    _, lam, vecs = state.gram()
-    w2 = (state.u @ vecs) ** 2
-    return -(w2 @ (1.0 / lam) ** 2) / (1.0 + w2 @ (1.0 / lam))
+        return (state.y2 + 1.0) / state.res2
+    state.gram()
+    return -state.s / (1.0 + state.q)
 
 
 def _eg_score(state: _Factor) -> np.ndarray:
@@ -271,10 +323,9 @@ def _eg_score(state: _Factor) -> np.ndarray:
         c = u[state.selected]
         gram, border = c @ c.T, u @ c.T
         lam, vecs = _eigh(gram)
-        a = border @ ((vecs / lam) @ vecs.T)  # u ~ a C, each row's projection
         bound = np.fmin(
             _least_eig_2x2(lam[0], border @ vecs[:, 0], state.norms2),
-            state.res2 / (1.0 + _quad(a, a)),
+            state.res2 / (1.0 + state.y2),
         )
 
         def exact(idx: np.ndarray) -> np.ndarray:
@@ -360,8 +411,13 @@ def select_dg(cand: CandidateMatrix, p: int) -> SelectionResult:
     The first min(p, r) sensors maximize the squared distance from the
     span of the sensors already picked (the column-pivoted-QR pivot
     sequence of U^T); subsequent sensors maximize the determinant via the
-    rank-one ratio ``1 + u (C^T C)^-1 u^T = 1 + sum(w^2 / l)``, read from the
-    step's one eigendecomposition ``C^T C = V diag(l) V^T`` with ``w = u V``.
+    rank-one ratio ``1 + q``, ``q = u (C^T C)^-1 u^T``.  Each pick updates
+    every candidate's q by Sherman-Morrison, and q is recomputed as
+    ``sum(w^2 / l)`` from the step's eigendecomposition ``C^T C = V diag(l)
+    V^T`` (``w = u V``) at the first step past r and every r steps after
+    (see :class:`_Factor`), so q matches the direct value at rounding
+    level, not bit for bit.  That eigendecomposition, made at every step
+    past r, also checks ``C^T C`` nonsingular.
     """
     return _take(cand, p, Method.DG)
 
@@ -370,9 +426,14 @@ def select_ag(cand: CandidateMatrix, p: int) -> SelectionResult:
     """Trace-of-inverse greedy selection.
 
     While p <= r the step objective is the bordered-inverse ratio
-    ``(u C^T (C C^T)^-2 C u^T + 1) / (u (I - C^T (C C^T)^-1 C) u^T)``;
-    past r it is ``-(u (C^T C)^-2 u^T) / (1 + u (C^T C)^-1 u^T)``, read as
-    ``-sum(w^2 / l^2) / (1 + sum(w^2 / l))`` (see :func:`select_dg`).  Both
+    ``(u C^T (C C^T)^-2 C u^T + 1) / (u (I - C^T (C C^T)^-1 C) u^T)``, read
+    as ``(||y||^2 + 1) / res2`` with ``y C`` the candidate's projection on
+    the picked rows, ``||y||^2`` updated from each pick's new coordinate
+    row; past r it is ``-s / (1 + q)`` with ``s = u (C^T C)^-2 u^T`` and
+    ``q = u (C^T C)^-1 u^T``, carried by Sherman-Morrison and recomputed as
+    ``sum(w^2 / l^2)`` and ``sum(w^2 / l)`` at the first step past r and
+    every r steps after (see :func:`select_dg`).  The carried values match
+    the direct ones at rounding level, not bit for bit.  Both objectives
     are minimized.  Like every greedy selector, it skips the candidates
     whose projection residual vanishes for the current step.
     """
@@ -390,7 +451,9 @@ def select_eg(cand: CandidateMatrix, p: int) -> SelectionResult:
     directions: with ``C C^T = V L V^T``, the least eigenvalue of
     ``[[l_1, b_1], [b_1, ||u||^2]]`` (``b = V^T C u``) or, if less, the
     Rayleigh quotient ``res2 / (1 + ||a||^2)`` of ``(-a, 1)``, where
-    ``a C`` is the candidate's projection on the picked rows; past r, with
+    ``a C`` is the candidate's projection on the picked rows and
+    ``||a||^2`` is carried from pick to pick (see :class:`_Factor`), equal
+    to the direct value at rounding level, well inside the slack; past r, with
     ``C^T C = V L V^T`` and ``w = V^T u``, the least eigenvalue of
     ``[[l_1 + w_1^2, w_1 w_2], [w_1 w_2, l_2 + w_2^2]]``.  Each bound
     gets a rounding slack of ``EG_BOUND_SLACK * (l_max + ||u||^2)``,

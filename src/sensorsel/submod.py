@@ -13,10 +13,10 @@ tuples.  The A objective is monotone but not submodular (the checker finds
 diminishing-returns violations), so the Nemhauser bound
 ``f(S_greedy) >= (1 - 1/e) f(S_opt)`` is not guaranteed for it and the
 greedy-to-optimal ratio against brute force is an empirical check.  Its
-optimum is found by the search of
-:func:`~sensorsel.selectors.select_bruteforce` with the objective as its
-own bound, so every p-subset is scored: a diagonal bound could leave a
-singular regularized Gram unscored, and the check must raise at it.
+optimum is found by the bounded search of
+:func:`~sensorsel.selectors.select_bruteforce`, with a diagonal bound only
+where epsilon alone keeps every regularized Gram nonsingular; otherwise
+every p-subset is scored, so the check raises at the first singular one.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DuplicateSensorError, InstanceTooLargeError, NumericalError
 from . import fisher
-from .fisher import CandidateMatrix
-from .selectors import _best_subset, _check_p, select_ag
+from .fisher import EPS_SINGULAR, CandidateMatrix
+from .selectors import EG_BOUND_SLACK, _best_subset, _check_p, select_ag
 
 #: Largest ``3**n`` (the count of nested pairs S <= T of n candidates) that the
 #: exhaustive submodularity and monotonicity scans accept, so n <= 14.
@@ -418,19 +418,34 @@ def nemhauser_check(cand: CandidateMatrix, p: int, epsilon: float) -> NemhauserR
     submodular, so the Nemhauser bound ``1 - 1/e`` is not guaranteed and
     the returned ratio is an empirical measurement.  The optimum scores
     the p-subsets in lexicographic blocks (see ``selectors._best_subset``),
-    one :meth:`SetObjective.values` call per block, the score serving as
-    its own bound, so the first singular regularized Gram raises
-    ``SingularInformationError``.  For eps far above the Gram
-    eigenvalues the values are rounding noise, and an optimum that is not
-    positive raises ``NumericalError``.
+    one :meth:`SetObjective.values` call per block.  Where eps exceeds
+    twice ``EPS_SINGULAR`` times ``trace(U^T U) + eps``, every regularized
+    Gram ``M = C^T C + eps I`` passes the singularity test, and only the
+    subsets whose bound ``r/eps - sum(1 / M_jj)`` (as ``(M^-1)_jj >= 1 /
+    M_jj``) reaches the tie band are scored; the bound's slack,
+    ``EG_BOUND_SLACK * (r / eps) * trace(M) / eps``, covers an error of the
+    computed ``tr M^-1`` of up to that share of ``r ||M|| / eps^2``.
+    Otherwise the score is its own bound, every subset is scored, and the
+    first singular regularized Gram raises ``SingularInformationError``.
+    For eps far above the Gram eigenvalues the values are rounding noise,
+    and an optimum that is not positive raises ``NumericalError``.
     """
     _check_p(cand.n, p)
     obj = SetObjective(ObjectiveKind.A_EPS, cand, epsilon)
+    eps, r = obj.epsilon, cand.r
 
     def score(idx: np.ndarray) -> tuple[np.ndarray, int]:
         return obj.values(idx), 0
 
-    opt_indices, opt_value = _best_subset(cand.n, p, score, score, False, cand.r)
+    def bound(idx: np.ndarray) -> tuple[np.ndarray, int]:
+        c = cand.rows[idx - 1]
+        diag = np.einsum("kij,kij->kj", c, c) + eps  # of C^T C + eps I
+        slack = EG_BOUND_SLACK * (r / eps) * diag.sum(-1) / eps
+        return r / eps - (1.0 / diag).sum(-1) + slack, 0
+
+    # every regularized Gram's eigenvalues lie in [eps, trace + eps], the trace at most U's
+    nonsingular = eps > 2.0 * EPS_SINGULAR * (np.einsum("ij,ij->", cand.rows, cand.rows) + eps)
+    opt_indices, opt_value = _best_subset(cand.n, p, score, bound if nonsingular else score, False, r)
     if not opt_value > 0.0:
         raise NumericalError(
             f"the optimum {opt_value!r} at epsilon={obj.epsilon!r} is not positive, "

@@ -317,6 +317,131 @@ class TestEGPruning:
         np.testing.assert_array_equal(values, [np.nan, *exact[1:8], np.nan])
 
 
+def direct_dg_score(state):
+    """The D-greedy score read from the step's eigendecomposition past r."""
+    if state.under:
+        return state.res2.copy()
+    _, lam, vecs = state.gram()
+    return 1.0 + (state.u @ vecs) ** 2 @ (1.0 / lam)
+
+
+def direct_ag_score(state):
+    """The A-greedy score from the inverse of L below r and the step's
+    eigendecomposition past r."""
+    if state.under:
+        coords = state.coords[: len(state.selected)]
+        y = coords.T @ np.linalg.inv(coords[:, state.selected].T)
+        return (np.einsum("ij,ij->i", y, y) + 1.0) / state.res2
+    _, lam, vecs = state.gram()
+    w2 = (state.u @ vecs) ** 2
+    return -(w2 @ (1.0 / lam) ** 2) / (1.0 + w2 @ (1.0 / lam))
+
+
+GREEDY_RUNS = {
+    Method.DG: (selectors._dg_score, direct_dg_score, det_index, False),
+    Method.AG: (selectors._ag_score, direct_ag_score, trace_inv_index, True),
+    Method.EG: (selectors._eg_score, unpruned_eg_score, min_eig_index, False),
+}
+
+
+def picks_and_end(steps):
+    """The picks after the last step, then the error that ended the run, if any."""
+    picks = ()
+    try:
+        for res in steps:
+            picks = res.indices
+    except (NoAdmissibleCandidateError, SingularInformationError) as exc:
+        return picks, f"{type(exc).__name__}: {exc}"
+    return picks, None
+
+
+def carried_rows(kind, seed, r, n):
+    """Rows of one family of systems that the carried-score tests run to all n."""
+    g = np.random.default_rng(seed)
+    if kind == "duplicated":
+        return np.tile(g.standard_normal((max(n // 2, r + 1), r)), (2, 1))
+    if kind == "integer":
+        return g.integers(-2, 3, size=(n, r)).astype(float)
+    rows = g.standard_normal((n, r))
+    if kind == "graded":  # row norms over five decades
+        return rows * 10.0 ** -g.uniform(0, 5, (n, 1))
+    return {"gaussian": 1.0, "x2^600": 2.0**600, "x2^-600": 2.0**-600}[kind] * rows
+
+
+CARRIED_KINDS = st.sampled_from(["gaussian", "duplicated", "integer", "x2^600", "x2^-600", "graded"])
+
+
+class TestCarriedScores:
+    """The rank-one-updated parts of the dg, ag and eg scores match the
+    direct formulas at every step, and the picks match a greedy that
+    scores every step directly."""
+
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG, Method.EG])
+    @settings(max_examples=40, deadline=None)
+    @given(kind=CARRIED_KINDS, seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), n=st.integers(8, 40))
+    def test_carried_values_match_the_direct_formulas(self, method, kind, seed, r, n):
+        score, _, index, minimize = GREEDY_RUNS[method]
+        checked = set()
+
+        def checking(state):
+            values = score(state)
+            k = len(state.selected)
+            # the direct formulas are themselves exact only to about eps times the
+            # condition number of L or G, which graded rows raise to 1e6 at small n
+            if state.under and state.y2 is not None:
+                # ||y||^2 relative to 1 + ||y||^2, the term the scores read
+                coords = state.coords[:k]
+                low = coords[:, state.selected].T
+                y = coords.T @ np.linalg.inv(low)
+                direct = np.einsum("ij,ij->i", y, y)
+                tol = 1e-11 + 1e-15 * np.linalg.cond(low) if k else 0.0
+                atol = tol * (1.0 + direct.max(initial=0.0))
+                np.testing.assert_allclose(state.y2, direct, rtol=0, atol=atol)
+                checked.add("y2")
+            elif not state.under:
+                lam, vecs = state.eig
+                w2 = (state.u @ vecs) ** 2
+                tol = 1e-11 + 1e-15 * lam[-1] / lam[0]
+                for name, direct in (("q", w2 @ (1.0 / lam)), ("s", w2 @ (1.0 / lam) ** 2)):
+                    if getattr(state, name) is not None:
+                        np.testing.assert_allclose(getattr(state, name), direct, rtol=tol, atol=0)
+                        checked.add(name)
+            return values
+
+        cand = CandidateMatrix(carried_rows(kind, seed, r, n))
+        picks, _ = picks_and_end(_greedy(cand, method, checking, index, minimize))
+        # each score carries only what it reads: dg nothing below r, eg nothing past r
+        reads = {Method.DG: {"q"}, Method.AG: {"y2", "q", "s"}, Method.EG: {"y2"}}[method]
+        assert checked == reads & ({"y2", "q", "s"} if len(picks) > r else {"y2"})
+
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG])
+    @settings(max_examples=40, deadline=None)
+    @given(kind=CARRIED_KINDS, seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), n=st.integers(8, 40))
+    def test_picks_equal_the_direct_scores(self, method, kind, seed, r, n):
+        _, direct, index, minimize = GREEDY_RUNS[method]
+        cand = CandidateMatrix(carried_rows(kind, seed, r, n))
+        expected = picks_and_end(_greedy(cand, method, direct, index, minimize))
+        assert picks_and_end(greedy_steps(cand, method)) == expected
+
+    @pytest.mark.parametrize("method", [Method.DG, Method.AG])
+    def test_q_and_s_are_refreshed_every_r_steps_past_r(self, monkeypatch, method):
+        # the refresh is the one n x r^2 product of a step past r: at p = 5, 9, 13 of r = 4
+        cand = gaussian_candidates(30, 4, seed=62)
+        refreshed = []
+        real_gram = selectors._Factor.gram
+
+        def gram(state):
+            before = state.q
+            out = real_gram(state)
+            if state.q is not before:
+                refreshed.append(len(state.selected) + 1)
+            return out
+
+        monkeypatch.setattr(selectors._Factor, "gram", gram)
+        list(islice(greedy_steps(cand, method), 14))
+        assert refreshed == [5, 9, 13]
+
+
 class TestRandom:
     def test_full_draw_is_permutation(self):
         cand = gaussian_candidates(5, 2, seed=0)

@@ -528,3 +528,41 @@ class TestNemhauserBound:
         with pytest.raises(SingularInformationError) as blocked:
             nemhauser_check(cand, 3, epsilon=eps)
         assert str(blocked.value) == str(first.value)
+
+    @pytest.mark.parametrize("eps, most", [(1e-3, 120), (1e3, 8), (1e-8, 220)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_bound_holds_and_scores_each_subset_once(self, monkeypatch, eps, most, seed):
+        # where eps keeps every regularized Gram nonsingular, each subset's diagonal
+        # bound, slack included, is at or above its computed value, and only the
+        # subsets whose bound reaches the tie band are scored, each once; the slack
+        # grows as 1/eps^2, so at 1e-8 no subset is left out
+        cand, p = gaussian_candidates(12, 3, seed=77 + seed), 3
+        prune, real_values, scored = selectors._scores_that_can_win, SetObjective.values, []
+
+        def check(upper, exact, excluded):
+            assert (exact(np.arange(len(upper))) <= upper).all()
+            scored.clear()
+            return prune(upper, exact, excluded)
+
+        def values(obj, idx):
+            scored.extend(map(tuple, idx.tolist()))
+            return real_values(obj, idx)
+
+        monkeypatch.setattr(selectors, "_scores_that_can_win", check)
+        monkeypatch.setattr(SetObjective, "values", values)
+        res = nemhauser_check(cand, p, epsilon=eps)
+        optimum_scored = scored[:-1]  # the last is the greedy set's value
+        assert len(set(optimum_scored)) == len(optimum_scored) <= most
+        assert res.opt_indices in optimum_scored
+
+    def test_an_epsilon_at_rounding_level_scores_every_subset(self, monkeypatch):
+        # eps = 1e-14 does not keep a Gram of trace about 9 above the singularity floor,
+        # so the score is its own bound and every subset is scored
+        cand = gaussian_candidates(12, 3, seed=77)
+        rows = []
+        real_values = SetObjective.values
+        monkeypatch.setattr(
+            SetObjective, "values", lambda obj, idx: rows.append(len(idx)) or real_values(obj, idx)
+        )
+        nemhauser_check(cand, 3, epsilon=1e-14)
+        assert sum(rows) >= math.comb(12, 3)
