@@ -31,6 +31,7 @@ entire stream on every platform.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections.abc import Sequence
@@ -57,6 +58,9 @@ _HEADER = struct.Struct("<4sIQQI4x")
 # for small r (0.69-0.75x at 300 x 36, r=4).
 _ARPACK_MIN_SIZE_PER_RANK = 4  # Lanczos needs min(n, m) >= this * (2r + 1)
 _ARPACK_MIN_RATIO = 1e-6  # the Lanczos result is kept only if sigma_r > this * sigma_1
+# a normal matrix takes LAPACK unless its largest diagonal entry lies in [MIN, MAX)
+_LANCZOS_MIN_DIAGONAL = 2.0**-960
+_LANCZOS_MAX_DIAGONAL = 2.0**1022
 
 
 class SnapshotFormat(Enum):
@@ -298,18 +302,26 @@ def pod_truncate(data: SnapshotData, r: int) -> PodModel:
     eigenvectors V of the explicit normal matrix, ``XᵀX`` or ``XXᵀ``,
     whichever is smaller, from a fixed PCG64-seeded start vector, so reruns
     are bit-identical.  A tall set's ``XᵀX`` is :attr:`SnapshotData.gram`.
+    ARPACK multiplies by one triangle of it, scaled by the power of two
+    that puts its largest diagonal entry in [1/2, 1), so a file's
+    power-of-two scale changes no mode (see ``_lanczos``).
     The explicit normal matrix loses accuracy in the trailing vectors, so the
     modes come from X itself: Q is an orthonormal basis of the leading right
     singular vectors (``qr(V)`` if tall, ``qr(Xᵀ V)`` if wide), and the
     Rayleigh-Ritz step ``svd(X Q)`` gives the modes and singular values.
     Below that size the full LAPACK SVD (``np.linalg.svd``) is faster and is
-    used instead.  It is also the fallback when ARPACK fails (``ArpackError``,
-    no convergence included) or when the spectrum is steep,
-    ``σ_r <= 1e-6 σ_1``, where the trailing modes drift towards the
-    ``1e-12 σ_1`` bound (about 3e-12 σ_1 was seen at ``σ_1/σ_r = 1e7``).
+    used instead.  It is also the fallback when the normal matrix overflows,
+    when its largest diagonal entry lies outside ``[2^-960, 2^1022)``, when
+    ARPACK fails (``ArpackError``, no convergence included) or when the
+    spectrum is steep, ``σ_r <= 1e-6 σ_1``, where the trailing modes drift
+    towards the ``1e-12 σ_1`` bound (about 3e-12 σ_1 was seen at
+    ``σ_1/σ_r = 1e7``).
     Where the Lanczos result is kept it equals the full SVD's at rounding
-    level, not bit for bit: each ``σ_j`` and each mode scaled by ``σ_j``
-    within ``1e-12 σ_1``.
+    level, not bit for bit: each ``σ_j`` lies within ``1e-12 σ_1`` of the
+    full SVD's, and so does the span of the r modes where ``σ_r`` stands
+    apart from ``σ_(r+1)``.  A single mode, scaled by ``σ_j``, agrees within
+    ``1e-12 σ_1`` only where ``σ_j`` stands apart from its neighbours: modes
+    of equal singular values are any orthonormal basis of their span.
 
     This is the one-set case of :func:`fold_pods`, which fits the folds of
     a ``cv`` run together: a tall fold's normal matrix is sliced from the
@@ -358,7 +370,7 @@ def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) ->
             modes[k] = u, s
     pods = []
     for k, c in enumerate(cols):
-        if k not in modes:  # small, overflowing, ARPACK failed or steep spectrum
+        if k not in modes:  # small, at the float range's ends, ARPACK failed or steep spectrum
             u, s, _ = np.linalg.svd(x[:, c], full_matrices=False)
             modes[k] = u[:, :r].copy(), s[:r]  # not a view that keeps all of u
         u, s = modes[k]
@@ -369,7 +381,17 @@ def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) ->
 
 def _lanczos(data: SnapshotData, r: int, cols: np.ndarray | slice, tall: bool) -> np.ndarray | None:
     """The r leading eigenvectors of a fold's normal matrix, leading one first;
-    None if the matrix overflows or ARPACK fails."""
+    None if the matrix nears either end of the float range, or ARPACK fails.
+
+    ARPACK runs on :func:`_unit_operator`, the normal matrix scaled by a power
+    of two.  The scaling is exact, so ARPACK's convergence test, which has an
+    absolute floor, never sees a tiny matrix, and a file times a power of two
+    gives the same vectors bit for bit wherever no product leaves the normal
+    float range.  A largest diagonal entry below ``2^-960`` takes the LAPACK
+    route: entries that matter are then near the subnormal range, where they
+    lose bits, and below ``2^-1024`` the scale would overflow.  So does one at
+    ``2^1022`` or above, where the scale would be subnormal, and one that
+    overflows."""
     # loaded here, not with the package: only large snapshot matrices need it
     import scipy.sparse.linalg
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -379,14 +401,26 @@ def _lanczos(data: SnapshotData, r: int, cols: np.ndarray | slice, tall: bool) -
             xc = data.X[:, cols]
             normal = xc @ xc.T
     # |G_ij| <= sqrt(G_ii G_jj), so a finite diagonal means that no entry overflowed
-    if not np.isfinite(np.diagonal(normal)).all():
+    top = np.diagonal(normal).max()
+    if not _LANCZOS_MIN_DIAGONAL <= top < _LANCZOS_MAX_DIAGONAL:  # NaN fails too
         return None
     v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(normal.shape[0])
     try:
-        _, v = scipy.sparse.linalg.eigsh(normal, k=r, v0=v0)
+        _, v = scipy.sparse.linalg.eigsh(_unit_operator(normal, top), k=r, v0=v0)
     except scipy.sparse.linalg.ArpackError:
         return None
     return v[:, ::-1]
+
+
+def _unit_operator(normal: np.ndarray, top: float):
+    """The product with ``normal`` times the power of two that puts ``top``, its
+    largest diagonal entry, in [1/2, 1).  It reads one triangle (BLAS ``dsymv``)."""
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import LinearOperator
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    # dsymv reads the upper triangle of the Fortran-ordered view normal.T, which
+    # it takes without a copy: the lower triangle of normal
+    return LinearOperator(normal.shape, matvec=lambda v: dsymv(scale, normal.T, v), dtype=float)
 
 
 def sensor_candidates(

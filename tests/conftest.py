@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sensorsel import CandidateMatrix, counterexample_matrix
+from sensorsel import CandidateMatrix, counterexample_matrix, data
 
 
 @pytest.fixture
@@ -56,3 +56,24 @@ def assert_pod_close(pod, ref):
     np.testing.assert_allclose(
         pod.modes * pod.singular_values, ref.modes * ref.singular_values, rtol=0, atol=tol
     )
+
+
+@pytest.fixture
+def lanczos_normals(monkeypatch):
+    """The normal matrices whose ARPACK operators are built while the test runs.
+    Each operator must multiply by its matrix times the power of two that puts
+    the largest diagonal entry in [1/2, 1)."""
+    normals = []
+    unit_operator = data._unit_operator
+
+    def recording(normal, top):
+        op = unit_operator(normal, top)
+        i = np.argmax(np.diagonal(normal))
+        scaled = op.matvec(np.eye(len(normal))[i])[i]
+        assert 0.5 <= scaled < 1.0
+        assert np.frexp(scaled / normal[i, i])[0] == 0.5  # a power of two
+        normals.append(normal)
+        return op
+
+    monkeypatch.setattr(data, "_unit_operator", recording)
+    return normals

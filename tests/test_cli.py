@@ -653,23 +653,23 @@ class TestCvNormalMatrix:
     METHODS = [Method.DG, Method.AG, Method.EG, Method.RANDOM]
 
     @pytest.fixture
-    def spies(self, monkeypatch):
-        """Snapshot sets whose ``gram`` is computed, and normal matrices passed to eigsh."""
-        grams, normals = [], []
+    def spies(self, monkeypatch, lanczos_normals):
+        """Snapshot sets whose ``gram`` is computed, and the normal matrices of the
+        operators passed to eigsh, each scaled to a largest diagonal entry in [1/2, 1)."""
+        grams = []
         gram_func, eigsh = SnapshotData.gram.func, scipy.sparse.linalg.eigsh
 
         def gram(self):
             grams.append(self)
             return gram_func(self)
 
-        def counting_eigsh(a, *args, **kwargs):
-            normals.append(np.array(a))
+        def checking_eigsh(a, *args, **kwargs):
             assert kwargs["v0"].shape == a.shape[:1]  # else ARPACK reads past the start vector
             return eigsh(a, *args, **kwargs)
 
         monkeypatch.setattr(SnapshotData.gram, "func", gram)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
-        return grams, normals
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", checking_eigsh)
+        return grams, lanczos_normals
 
     def masked_file(self, tmp_path, n, m):
         mask = np.random.default_rng(7).random(n) >= 0.1

@@ -143,3 +143,62 @@ def test_every_request_ends_in_a_documented_exit_code(tmp_path, file, argv):
     if code == 4:
         case = r"method=\w+ p=\d+" if argv[0] == "select" else r"(method=\w+ p=\d+ )?fold=\d+"
         assert re.match(rf"numerical failure: {case}: ", err.getvalue()), err.getvalue()
+
+
+@st.composite
+def lanczos_requests(draw):
+    """(x, mask, cv argv, select argv): a standard normal file just past the Lanczos
+    edge, min(n, width) > 4 (2r + 1) for every training width, tall or wide.
+    ARPACK keeps 20 Lanczos vectors; past 20 rows of the normal matrix they no
+    longer span the whole space, so its convergence test decides where it stops."""
+    r, folds = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    edge = 4 * (2 * r + 1)  # 20 or 28
+    width = edge + draw(st.integers(1, 6))
+    m = -(-width * folds // (folds - 1))  # ceil(width K / (K - 1)): the narrowest fold trains on >= width
+    n = m + draw(st.integers(1, 8)) if draw(st.booleans()) else edge + draw(st.integers(1, 6))
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, m))
+    mask = np.arange(n) != draw(st.integers(0, n - 1)) if draw(st.booleans()) else None
+    cv = ["cv", "--r", str(r), "--k", str(folds), "--p-min", "1", "--p-max", str(draw(st.integers(1, 3 * r)))]
+    cv += ["--methods", "dg,ag,eg,random", "--seed", str(draw(st.integers(0, 9)))]
+    method = draw(st.sampled_from(["dg", "ag", "eg", "random"]))
+    select = ["select", "--method", method, "--p", str(draw(st.integers(1, n)))]
+    return x, mask, cv, select
+
+
+def run(argv, x, mask, tmp_path, name):
+    """``main``'s exit code, stdout and stderr, and the bytes of what it wrote,
+    with the wall-time cells cut out."""
+    path = tmp_path / f"{name}.raw"
+    save_snapshots(SnapshotData(x, mask), path, SnapshotFormat.RAW_F64)
+    out_dir = tmp_path / name
+    argv = [*argv, "--data", str(path), "--format", "raw"] + (["--out", str(out_dir)] if argv[0] == "cv" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    files = {}
+    for csv_path in sorted(out_dir.glob("*.csv")):
+        lines = csv_path.read_text().splitlines()
+        if lines[0].endswith(",wall_time_s"):
+            files[csv_path.name] = [line.rsplit(",", 1)[0] for line in lines]
+        else:  # the long-format summary
+            files[csv_path.name] = [line for line in lines if ",wall_time_s_mean," not in line]
+    return code, out.getvalue().replace(str(tmp_path / name), ""), err.getvalue(), files
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(request=lanczos_requests(), k=st.integers(-400, 400))
+def test_a_power_of_two_scale_changes_no_output(tmp_path, request, k):
+    # cv's folds take the Lanczos route here, unlike on the 12 x 5 base file above
+    x, mask, cv, select = request
+    for argv in (cv, select):
+        base = run(argv, x, mask, tmp_path, "base")
+        scaled = run(argv, x * 2.0**k, mask, tmp_path, "scaled")
+        assert scaled == base
+        assert base[0] == 0 or argv[0] == "select"  # a cv request here always succeeds

@@ -21,7 +21,8 @@ from sensorsel import (
     save_snapshots,
     sensor_candidates,
 )
-from sensorsel.data import fold_pods
+from sensorsel.cli import main
+from sensorsel.data import _lanczos, fold_pods
 
 from conftest import assert_pod_close
 
@@ -416,19 +417,11 @@ class TestPodArpack:
         assert arpack_calls == [normal_shape(shape)]
 
     @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
-    def test_the_normal_matrix_is_the_gram_when_tall(self, monkeypatch, shape):
-        normals = []
-        eigsh = scipy.sparse.linalg.eigsh
-
-        def recording(a, *args, **kwargs):
-            normals.append(a)
-            return eigsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    def test_the_normal_matrix_is_the_gram_when_tall(self, lanczos_normals, shape):
         x = steep_snapshots(*shape, 4, ratio=1e3)
         data = SnapshotData(x)
         assert_close_to_lapack(pod_truncate(data, 4), x, 4)
-        (normal,) = normals
+        (normal,) = lanczos_normals
         if shape[0] >= shape[1]:
             assert normal is data.gram  # the set's cached XᵀX, not a second product
         else:
@@ -550,6 +543,90 @@ class TestPodOverflow:
         assert capfd.readouterr() == ("", "")
         assert arpack_calls == []
         assert np.array_equal(pod.singular_values, np.linalg.svd(self.x, full_matrices=False)[1][:3])
+
+
+def flat_snapshots():
+    """2000 x 300 snapshots with the slowly falling singular values exp(-3j/300)."""
+    rng = np.random.Generator(np.random.PCG64(24))
+    a = np.linalg.qr(rng.standard_normal((2000, 300)))[0]
+    b = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+    return (a * np.exp(-3.0 * np.arange(300) / 300)) @ b.T
+
+
+class TestLanczosScale:
+    """The Lanczos route at the file's scale: ARPACK sees the normal matrix scaled
+    by a power of two, so a file's power-of-two scale changes no mode."""
+
+    R = 10
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        x = flat_snapshots()
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        return x, u[:, : self.R], s[: self.R], pod_truncate(SnapshotData(x), self.R)
+
+    @pytest.mark.parametrize("k", [-40, -60])
+    def test_a_small_flat_file_keeps_its_modes(self, flat, arpack_calls, k):
+        x, u, s, unscaled = flat
+        pod = pod_truncate(SnapshotData(x * 2.0**k), self.R)
+        assert arpack_calls == [(300, 300)]
+        np.testing.assert_allclose(pod.singular_values * 2.0**-k, s, rtol=0, atol=1e-12 * s[0])
+        assert np.array_equal(pod.modes, unscaled.modes)
+        # sigma_10 / sigma_11 = e^0.01: the leading subspace is pinned, each mode less so
+        assert np.linalg.norm(u - pod.modes @ (pod.modes.T @ u), 2) <= 1e-11
+
+    def test_cv_on_a_small_flat_file_picks_alike(self, flat, tmp_path):
+        x = flat[0]
+        picks = []
+        for k in (0, -60):
+            path = tmp_path / f"flat{k}.raw"
+            save_snapshots(SnapshotData(x * 2.0**k), path, SnapshotFormat.RAW_F64)
+            argv = ["cv", "--data", str(path), "--format", "raw", "--r", str(self.R), "--k", "5"]
+            argv += ["--p-max", "20", "--methods", "dg,ag,eg", "--out", str(tmp_path / f"out{k}")]
+            assert main(argv) == 0
+            rows = (tmp_path / f"out{k}" / "cv.csv").read_text().splitlines()
+            picks.append([row.split(",")[:5] for row in rows])  # method, p, fold, indices, locations
+        assert len(picks[0]) == 1 + 3 * 20 * 5
+        assert picks[0] == picks[1]
+
+    @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+    @pytest.mark.parametrize(
+        "exponent, lanczos",
+        [(-960, True), (-962, False), (-1040, False), (1020, True), (1022, False)],
+    )
+    def test_a_normal_matrix_near_either_end_of_the_float_range_takes_lapack(
+        self, arpack_calls, shape, exponent, lanczos
+    ):
+        # the rule's edges are a largest diagonal entry of 2^-960 and 2^1022; at
+        # 2^-1040 the scale factor, about 2^1040, would overflow, and from 2^1022
+        # on it would be subnormal
+        x = steep_snapshots(*shape, 4, ratio=1e3)
+        top = np.diagonal(x.T @ x if shape[0] >= shape[1] else x @ x.T).max()
+        x = x * 2.0 ** ((exponent - np.frexp(top)[1]) // 2 + 1)  # top in [2^exponent, 2^(exponent + 2))
+        normal = x.T @ x if shape[0] >= shape[1] else x @ x.T
+        assert (2.0**-960 <= np.diagonal(normal).max() < 2.0**1022) == lanczos
+        pod = pod_truncate(SnapshotData(x), 4)
+        assert arpack_calls == ([normal_shape(shape)] if lanczos else [])
+        assert_close_to_lapack(pod, x, 4)
+
+
+class TestNormalOperator:
+    """The one-triangle product ARPACK runs on."""
+
+    @pytest.mark.parametrize("cols", [slice(None), np.r_[0:30, 60:120]], ids=["all", "fold"])
+    def test_the_unread_triangle_is_never_read(self, cols):
+        x = steep_snapshots(300, 120, 4, ratio=1e2)
+        clean = _lanczos(SnapshotData(x), 4, cols, tall=True)
+        poisoned = {}
+        for triangle, (i, j) in (("upper", (3, 70)), ("lower", (70, 3))):
+            data = SnapshotData(x)
+            gram = data.gram.copy()
+            gram[i, j] = np.nan
+            data.__dict__["gram"] = gram  # the cached XᵀX the fold reads
+            poisoned[triangle] = _lanczos(data, 4, cols, tall=True)
+        assert np.array_equal(poisoned["upper"], clean)  # dsymv reads the lower triangle only
+        lower = poisoned["lower"]
+        assert lower is None or not np.array_equal(lower, clean, equal_nan=True)
 
 
 class TestKfold:

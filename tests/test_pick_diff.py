@@ -5,12 +5,15 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("pick_diff", _ROOT / "tools" / "pick_diff.py")
 pick_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pick_diff)
 
-REDUCED = ["--seeds", "1", "--max-n", "100"]  # one seed of the families up to 100 rows
+SEEDS, MAX_N = 1, 100  # one seed of the families up to 100 rows
+REDUCED = ["--seeds", str(SEEDS), "--max-n", str(MAX_N)]
 
 
 def tree(tmp_path, name):
@@ -18,15 +21,31 @@ def tree(tmp_path, name):
     return tmp_path / name
 
 
-def test_two_copies_of_the_source_pick_alike(tmp_path, capsys):
-    a, b = tree(tmp_path, "a"), tree(tmp_path, "b")
+@pytest.fixture(scope="module")
+def unchanged(tmp_path_factory):
+    """A copy of the source and its runs on the reduced corpus, run once for the module."""
+    a = tree(tmp_path_factory.mktemp("unchanged"), "a")
+    return a, pick_diff._runs(a, SEEDS, MAX_N)
+
+
+@pytest.fixture
+def a(unchanged, monkeypatch):
+    """The unchanged tree, whose runs ``main`` reads from the module's one run."""
+    a, runs_a = unchanged
+    runs = pick_diff._runs
+    monkeypatch.setattr(pick_diff, "_runs", lambda t, seeds, max_n: runs_a if t == a else runs(t, seeds, max_n))
+    return a
+
+
+def test_two_copies_of_the_source_pick_alike(a, tmp_path, capsys):
+    b = tree(tmp_path, "b")
     assert pick_diff.main([str(a), str(b), *REDUCED]) == 0
     runs = 3 * sum(1 for n, _, _ in pick_diff.FAMILIES.values() if n <= 100)
     assert capsys.readouterr().out.startswith(f"{runs} runs, ")
 
 
-def test_a_changed_tie_rule_is_found(tmp_path, capsys):
-    a, b = tree(tmp_path, "a"), tree(tmp_path, "b")
+def test_a_changed_tie_rule_is_found(a, tmp_path, capsys):
+    b = tree(tmp_path, "b")
     selectors = b / "src" / "sensorsel" / "selectors.py"
     rule = "return int(np.flatnonzero(v >= best - tol)[0])"
     text = selectors.read_text()
