@@ -152,7 +152,10 @@ def _unit_records(
     The rows, observations and Grams of one p are formed in one stack.
     The Grams of one shape group (one group per p <= r, one for all p > r)
     get one ``det``, ``fisher._criteria`` and ``fisher._pinv_apply`` (the
-    singular ones solved as the identity) and their errors' norms one dot,
+    singular ones solved as the identity; against the r modes where the
+    observations have more columns, as a ``cv`` fold's test block has, and
+    against the observations where they have at most r, as ``random``'s one
+    column) and their errors' norms one dot,
     each record getting the bits of a call on it alone, its error taken at
     the scale of ``z_true`` as ``fisher.reconstruction_error`` takes it.  A
     record that this does not settle (its group's eigensolve failed, its

@@ -308,7 +308,11 @@ def pod_truncate(data: SnapshotData, r: int) -> PodModel:
     The explicit normal matrix loses accuracy in the trailing vectors, so the
     modes come from X itself: Q is an orthonormal basis of the leading right
     singular vectors (``qr(V)`` if tall, ``qr(Xᵀ V)`` if wide), and the
-    Rayleigh-Ritz step ``svd(X Q)`` gives the modes and singular values.
+    Rayleigh-Ritz step ``svd(X Q)`` gives the modes and singular values.  It
+    too runs on ``X Q`` scaled by the power of two that puts its largest entry
+    in [1/2, 1), since LAPACK rescales a matrix outside its unscaled band by a
+    factor that is not a power of two; so the modes are bit-identical under any
+    power-of-two scale at which the Lanczos route runs.
     Below that size the full LAPACK SVD (``np.linalg.svd``) is faster and is
     used instead.  It is also the fallback when the normal matrix overflows,
     when its largest diagonal entry lies outside ``[2^-960, 2^1022)``, when
@@ -338,7 +342,8 @@ def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) ->
     a tall fold's ARPACK vectors, or ``qr`` of a wide fold's training rows of
     ``Xᵀ V``, one product for all wide folds.  Then all Lanczos folds share
     one product ``X Q̂``, each Q zero at its fold's left-out columns, and each
-    fold's modes and singular values are the thin SVD of its block.  The
+    fold's modes and singular values are the thin SVD of its block, scaled
+    by the power of two that puts its largest entry in [1/2, 1), σ scaled back.  The
     products sum over those zeros, so each POD equals pod_truncate of a copy
     of its columns at rounding level.  Ranks are checked first, in fold order
     (kfold's first is narrowest)."""
@@ -365,9 +370,12 @@ def fold_pods(data: SnapshotData, r: int, folds: Sequence[np.ndarray | None]) ->
     z = x @ q
     modes = {}
     for j, k in enumerate(bases):
-        u, s, _ = np.linalg.svd(z[:, j * r : (j + 1) * r], full_matrices=False)
+        block = z[:, j * r : (j + 1) * r]
+        e = math.frexp(max(block.max(), -block.min()))[1]
+        # scaled in place, no copy: z is not read again
+        u, s, _ = np.linalg.svd(np.ldexp(block, -e, out=block), full_matrices=False)
         if s[-1] > _ARPACK_MIN_RATIO * s[0]:
-            modes[k] = u, s
+            modes[k] = u, np.ldexp(s, e)
     pods = []
     for k, c in enumerate(cols):
         if k not in modes:  # small, at the float range's ends, ARPACK failed or steep spectrum

@@ -229,11 +229,27 @@ def _criteria(gram: np.ndarray) -> _Criteria:
 def _pinv_apply(cs: Sequence[np.ndarray], gram: np.ndarray, ys: Sequence[np.ndarray]) -> np.ndarray:
     """:func:`estimate`'s arithmetic on measurements ``cs`` and observations ``ys``, records
     or stacks of one Gram shape (p may vary past r), and their regime Grams ``gram``, which
-    must pass the singularity test: one ``np.linalg.solve``, each system getting its own bits."""
-    if cs[0].shape[-2] <= cs[0].shape[-1]:
-        return np.swapaxes(np.concatenate(cs), -1, -2) @ np.linalg.solve(gram, np.concatenate(ys))
-    cty = [np.swapaxes(c, -1, -2) @ y for c, y in zip(cs, ys)]
-    return np.linalg.solve(gram, np.concatenate(cty))
+    must pass the singularity test: one ``np.linalg.solve`` (``np.linalg.inv`` for the map
+    past r), each system getting its own bits.
+
+    The solve runs against the narrower of the observations and the r modes.  With at most
+    r observation columns (a vector counts as one) it solves against them: ``C^T ((C C^T)^-1
+    y)`` while p <= r, ``(C^T C)^-1 (C^T y)`` past r.  With more, it forms the r-column map
+    first and applies it: ``((C C^T)^-1 C)^T y``, or ``(C^T C)^-1`` times ``C^T y``, the
+    inverse by one ``np.linalg.inv`` (LAPACK's solve against ``I_r``, which takes a stack of
+    Grams on every NumPy version).  The two orders agree at rounding level, not bit for bit,
+    so an estimate's last bits depend on how many columns it is given."""
+    r = cs[0].shape[-1]
+    wide = ys[0].ndim == cs[0].ndim and ys[0].shape[-1] > r  # more observation columns than modes
+    if cs[0].shape[-2] <= r:
+        c, y = np.concatenate(cs), np.concatenate(ys)
+        if wide:
+            return np.swapaxes(np.linalg.solve(gram, c), -1, -2) @ y
+        return np.swapaxes(c, -1, -2) @ np.linalg.solve(gram, y)
+    cty = np.concatenate([np.swapaxes(c, -1, -2) @ y for c, y in zip(cs, ys)])
+    if wide:
+        return np.linalg.inv(gram) @ cty
+    return np.linalg.solve(gram, cty)
 
 
 def build_measurement(cand: CandidateMatrix, indices: Sequence[int]) -> SensorSet:
@@ -298,7 +314,10 @@ def estimate(s: SensorSet, y: np.ndarray) -> np.ndarray:
     UNDER regime returns the least-norm solution
     ``C^T (C C^T)^-1 y``; OVER regime the least-squares solution
     ``(C^T C)^-1 C^T y``.  ``y`` may be a p-vector or a p x m matrix of
-    observation columns.
+    observation columns.  With m <= r the Gram is solved against ``y``
+    (``C^T y`` past r); with m > r against the r modes, and the map is
+    applied to ``y`` (see ``_pinv_apply``).  The two agree at rounding level,
+    not bit for bit: a column's last bits depend on how many come with it.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != s.p:

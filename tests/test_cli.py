@@ -231,6 +231,38 @@ class TestRunRandom:
         shapes = sorted((count, min(g, 3), min(g, 3)) for g, count in groups.items())
         assert sorted(eigensolves) == sorted(solves) == shapes
 
+    @pytest.mark.parametrize("unit", ["cv", "random"])
+    def test_each_group_solves_against_the_narrower_of_observations_and_modes(
+        self, tmp_path, monkeypatch, unit
+    ):
+        """A cv fold's test block is wider than r, so each shape group makes one
+        solve against r columns; a random group, of one column, solves against it."""
+        solves = []
+        solve, inv = np.linalg.solve, np.linalg.inv
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append((a.shape, b.shape)) or solve(a, b))
+        # an inverse is a solve against the identity: r right-hand columns
+        monkeypatch.setattr(np.linalg, "inv", lambda a: solves.append((a.shape, a.shape)) or inv(a))
+        r, sizes = 4, list(range(1, 10))
+        if unit == "cv":
+            path, _ = make_snapshot_file(tmp_path, n=40, m=25, rank=5, noise=0.1)
+            snapshots = load_snapshots(path, SnapshotFormat.RAW_F64)
+            plan = kfold(snapshots.m, 3)
+            test = plan.test_columns(1)
+            methods = [Method.DG, Method.AG, Method.EG, Method.RANDOM]
+            evaluate_fold(snapshots, plan.train_columns(1), test, r, sizes, methods)
+            assert len(test) > r
+            columns = r
+        else:
+            cand, z = gen_random_system(30, r, 0), gen_latent(r, 1, 1)
+            cli._unit_records(
+                cand, np.arange(1, 31), [Method.DG, Method.RANDOM], sizes, "trial", 0, (0,), z,
+                lambda sels, rows, locs: rows @ z,
+            )
+            columns = 1
+        # one solve per p <= r and one for every p > r
+        assert sorted(a[-1] for a, _ in solves) == [1, 2, 3, 4, 4]
+        assert [b[-1] for _, b in solves] == [columns] * 5
+
     def test_dg_normalized_rows_are_exactly_one(self, tmp_path):
         cfg = small_config(tmp_path)
         _, sum_path = run_random(cfg)

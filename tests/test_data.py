@@ -554,8 +554,11 @@ def flat_snapshots():
 
 
 class TestLanczosScale:
-    """The Lanczos route at the file's scale: ARPACK sees the normal matrix scaled
-    by a power of two, so a file's power-of-two scale changes no mode."""
+    """The Lanczos route at the file's scale: ARPACK sees the normal matrix, and
+    the Rayleigh-Ritz SVD its block, scaled by a power of two, so a file's
+    power-of-two scale changes no mode wherever the Lanczos route runs.  On the
+    flat file (largest diagonal entry of XᵀX in [2^-3, 2^-2)) that is ×2^-478
+    to ×2^512.  At ×2^±470 the block lies outside LAPACK's unscaled band."""
 
     R = 10
 
@@ -565,7 +568,7 @@ class TestLanczosScale:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         return x, u[:, : self.R], s[: self.R], pod_truncate(SnapshotData(x), self.R)
 
-    @pytest.mark.parametrize("k", [-40, -60])
+    @pytest.mark.parametrize("k", [-40, -60, -470, -478, 470, 505, 512])
     def test_a_small_flat_file_keeps_its_modes(self, flat, arpack_calls, k):
         x, u, s, unscaled = flat
         pod = pod_truncate(SnapshotData(x * 2.0**k), self.R)

@@ -565,28 +565,41 @@ class TestBruteForce:
         assert res.per_step_objective[-1] == pytest.approx(det_index(raw), rel=1e-12)
 
 
-def unblocked_brute_value(cand, criterion):
-    """The score of one subset from one Fisher information per subset, not
-    from stacked blocks, of the subset's rows scaled by the power of two that
-    puts their largest entry in [1/2, 1), as brute force scores them: the
-    index, scaled back; A and D score a subset that trace_inv_index finds
-    singular as NaN."""
+def unblocked_brute_values(cand, criteria):
+    """The scores of one subset under each of ``criteria`` from one Fisher
+    information per subset, not from stacked blocks, of the subset's rows
+    scaled by the power of two that puts their largest entry in [1/2, 1), as
+    brute force scores them: each index, scaled back; A and D score a subset
+    that trace_inv_index finds singular as NaN.  The criteria share the
+    subset's one Gram and one eigensolve (``FisherInfo._criteria`` is cached)."""
 
-    def value(subset):
+    def values(subset):
         c, e = _unit_scaled(cand.rows.take([i - 1 for i in subset], axis=0))
         info = fisher_info(SensorSet(subset, c))
-        if criterion is Criterion.E:
-            return np.ldexp(min_eig_index(info), 2 * e)
         try:
             trace_inv = trace_inv_index(info)
         except SingularInformationError:
-            return math.nan
-        if criterion is Criterion.A:
-            return np.ldexp(trace_inv, -2 * e)
-        with np.errstate(over="ignore"):
-            return np.ldexp(det_index(info), 2 * info.matrix.shape[0] * e)
+            trace_inv = None
+        scores = []
+        for criterion in criteria:
+            if criterion is Criterion.E:
+                scores.append(np.ldexp(min_eig_index(info), 2 * e))
+            elif trace_inv is None:
+                scores.append(math.nan)
+            elif criterion is Criterion.A:
+                scores.append(np.ldexp(trace_inv, -2 * e))
+            else:
+                with np.errstate(over="ignore"):
+                    scores.append(np.ldexp(det_index(info), 2 * info.matrix.shape[0] * e))
+        return scores
 
-    return value
+    return values
+
+
+def unblocked_brute_value(cand, criterion):
+    """:func:`unblocked_brute_values` under one criterion."""
+    values = unblocked_brute_values(cand, [criterion])
+    return lambda subset: values(subset)[0]
 
 
 INDEX = {Criterion.D: det_index, Criterion.A: trace_inv_index, Criterion.E: min_eig_index}
@@ -724,14 +737,23 @@ def pruning_instance(seed):
     return rows, p
 
 
-def reference_pick(rows, p, criterion):
-    """The subset that the per-subset values (unblocked_brute_value) rank first
-    under the greedy tie rule, and its value."""
-    n = rows.shape[0]
-    value = unblocked_brute_value(CandidateMatrix(rows), criterion)
-    values = [value(s) for s in combinations(range(1, n + 1), p)]
-    k = _argbest(values, criterion is Criterion.A)
-    return next(islice(combinations(range(1, n + 1), p), k, None)), values[k]
+def reference_picks(rows, p, criteria):
+    """For each of ``criteria``, the subset that the per-subset values
+    (unblocked_brute_values, one Fisher information per subset for all the
+    criteria) rank first under the greedy tie rule and its value, or the
+    NoAdmissibleCandidateError that the ranking raises."""
+    subsets = list(combinations(range(1, rows.shape[0] + 1), p))
+    value = unblocked_brute_values(CandidateMatrix(rows), criteria)
+    table = np.array([value(s) for s in subsets])
+    picks = {}
+    for criterion, values in zip(criteria, table.T):
+        try:
+            k = _argbest(values, criterion is Criterion.A)
+        except NoAdmissibleCandidateError as exc:
+            picks[criterion] = exc
+        else:
+            picks[criterion] = subsets[k], values[k]
+    return picks
 
 
 class TestBruteForcePruning:
@@ -754,13 +776,13 @@ class TestBruteForcePruning:
             exponent = {Criterion.A: -2 * scale, Criterion.E: 2 * scale}
             if isinstance(scale, int):
                 exponent[Criterion.D] = 2 * min(p, rows.shape[1]) * scale
-            for criterion in exponent:
-                try:
-                    best, value = reference_pick(scaled if isinstance(scale, float) else rows, p, criterion)
-                except NoAdmissibleCandidateError:
+            reference = reference_picks(scaled if isinstance(scale, float) else rows, p, list(exponent))
+            for criterion, pick in reference.items():
+                if isinstance(pick, NoAdmissibleCandidateError):
                     with pytest.raises(NoAdmissibleCandidateError):
                         select_bruteforce(CandidateMatrix(scaled), p, criterion)
                     continue
+                best, value = pick
                 if isinstance(scale, int):
                     with np.errstate(over="ignore"):
                         value = np.ldexp(value, exponent[criterion])
